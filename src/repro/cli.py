@@ -155,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="run one experiment and print its metrics")
     sim_g = run_p.add_argument_group(
-        "simulation", "what to run: scheme, workload, geometry, kernel"
+        "simulation", "what to run: scheme, workload, geometry"
     )
     sim_g.add_argument("--scheme", choices=("greedy", "opportunistic"), default="greedy")
     sim_g.add_argument("-n", "--nodes", type=int, default=150)
@@ -170,13 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=200.0,
         metavar="M",
         help="side of the square deployment field in meters",
-    )
-    sim_g.add_argument(
-        "--kernel",
-        choices=("auto", "vector", "scalar"),
-        default="auto",
-        help="PHY kernel: auto (default; vectorized cohorts at >=1000 "
-        "nodes, scalar reference below), or force one",
     )
     sim_g.add_argument(
         "--placement", choices=("corner", "random", "event-radius"), default="corner"
@@ -313,14 +306,11 @@ def build_parser() -> argparse.ArgumentParser:
         "bench", help="run the canonical sweep benchmark and write BENCH_sweep.json"
     )
     bench_p.add_argument(
-        "--quick", action="store_true", help="CI-smoke workload (~10x cheaper)"
-    )
-    bench_p.add_argument(
         "--profile",
         metavar="NAME",
-        default=None,
-        help="named workload profile (canonical, quick, large, large-quick, "
-        "pathloss, pathloss-quick); overrides --quick",
+        default="canonical",
+        help="named workload profile: canonical (default), quick (the "
+        "~10x cheaper CI smoke), large, large-quick, pathloss, pathloss-quick",
     )
     bench_p.add_argument(
         "--workers",
@@ -629,12 +619,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
         from .experiments.store import RunStore
 
         store = RunStore(args.store)
-        result = run_experiment(cfg, store=store, kernel=args.kernel)
+        result = run_experiment(cfg, store=store)
         observed = None
         if store.stats.hits:
             print(f"run store: hit ({args.store})")
     else:
-        observed = run_observed(cfg, obs, kernel=args.kernel)
+        observed = run_observed(cfg, obs)
         result = observed.metrics
         if args.store:
             # An observed run is always executed fresh (the caller asked
@@ -1099,13 +1089,16 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     from .experiments.bench import format_bench, run_bench, save_bench
 
     payload = run_bench(
-        quick=args.quick,
+        profile=args.profile,
         workers=args.workers,
         timeline=args.timeline,
-        profile=args.profile,
         spans=args.spans,
     )
-    path = save_bench(payload, args.out)
+    try:
+        path = save_bench(payload, args.out)
+    except ValueError as exc:
+        print(f"repro bench: {exc}", file=sys.stderr)
+        return 1
     if args.json:
         import json
 

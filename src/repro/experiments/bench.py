@@ -13,7 +13,8 @@ world building (with the field cache), the event kernel, the PHY
 fan-out, the MAC, the diffusion schemes — while staying bounded:
 ``canonical`` (the headline) and its CI-smoke variant ``quick`` cover
 the paper's density band; ``large`` and ``large-quick`` run thousands of
-nodes on an 800 m field, the regime the vectorized PHY kernel targets.
+nodes on an 800 m field, far beyond the paper's 350, to show how the
+PHY fan-out scales.
 
 When ``workers`` is given, the same configs also run through the
 hardened parallel executor and the results are checked for exact
@@ -27,7 +28,7 @@ import json
 import time
 from dataclasses import asdict
 from pathlib import Path
-from typing import Optional, Union
+from typing import Union
 
 from ..diffusion.agent import DiffusionParams
 from ..net.channel import ChannelSpec
@@ -39,8 +40,6 @@ from .sweeps import cell_seed, run_configs
 __all__ = [
     "BENCH_VERSION",
     "WORKLOADS",
-    "CANONICAL_WORKLOAD",
-    "QUICK_WORKLOAD",
     "bench_configs",
     "run_bench",
     "save_bench",
@@ -56,9 +55,9 @@ BENCH_VERSION = 1
 #:   schemes, paired trials.
 #: * ``quick`` — CI-smoke variant of canonical (~10x cheaper).
 #: * ``large`` — the scale profile: 2 000–5 000 nodes on an 800 m field
-#:   (mean radio degree ~16..39), single scheme/trial, short runs.  This
-#:   is the regime the vectorized PHY kernel exists for; it also feeds
-#:   the large-field density figure.
+#:   (mean radio degree ~16..39), single scheme/trial, short runs.  It
+#:   times the PHY fan-out far past the paper's sizes and feeds the
+#:   large-field density figure.
 #: * ``large-quick`` — CI-smoke variant of large (one 2 000-node run).
 #: * ``pathloss`` — canonical geometry under the pathloss/SINR channel
 #:   (default :class:`~repro.net.channel.ChannelSpec` pathloss block):
@@ -119,31 +118,20 @@ WORKLOADS: dict[str, dict] = {
     },
 }
 
-#: legacy aliases (pre-profile API)
-CANONICAL_WORKLOAD = WORKLOADS["canonical"]
-QUICK_WORKLOAD = WORKLOADS["quick"]
-
-
-def _resolve_profile(quick: bool, profile: Optional[str]) -> str:
-    if profile is None:
-        return "quick" if quick else "canonical"
+def _workload(profile: str) -> dict:
     if profile not in WORKLOADS:
         raise ValueError(
             f"unknown bench profile {profile!r} (have {sorted(WORKLOADS)})"
         )
-    return profile
+    return WORKLOADS[profile]
 
 
-def bench_configs(
-    quick: bool = False, profile: Optional[str] = None
-) -> list[ExperimentConfig]:
+def bench_configs(profile: str = "canonical") -> list[ExperimentConfig]:
     """The deterministic config list for one bench workload (paired seeds).
 
-    ``profile`` names a :data:`WORKLOADS` entry; the legacy ``quick``
-    flag (profile ``"quick"`` vs ``"canonical"``) is honoured when no
-    profile is given.
+    ``profile`` names a :data:`WORKLOADS` entry.
     """
-    w = WORKLOADS[_resolve_profile(quick, profile)]
+    w = _workload(profile)
     diffusion = DiffusionParams(exploratory_interval=w["exploratory_interval"])
     field_size = w.get("field_size", 200.0)
     # Only non-disc workloads set the channel kwarg: disc configs must
@@ -172,16 +160,15 @@ def bench_configs(
 
 
 def run_bench(
-    quick: bool = False,
+    profile: str = "canonical",
     workers: int = 0,
     timeline: bool = False,
-    profile: Optional[str] = None,
     spans: bool = False,
 ) -> dict:
     """Run one bench workload and assemble the perf payload.
 
     The serial pass is the timed headline (it is what the cache and the
-    kernel fast paths speed up); the optional parallel pass measures the
+    event-loop fast paths speed up); the optional parallel pass measures the
     executor and proves parallel == serial bit-for-bit.  ``timeline``
     runs the same workload with the standard probe timeline attached —
     the probe-overhead gate.  ``spans`` wraps every run in
@@ -195,7 +182,7 @@ def run_bench(
     from ..obs.manifest import _environment
     from ..obs.spans import SpanStore
 
-    profile = _resolve_profile(quick, profile)
+    w = _workload(profile)
     cache = default_field_cache()
     cache.clear()
     configs = bench_configs(profile=profile)
@@ -236,13 +223,11 @@ def run_bench(
             }
         )
 
-    w = WORKLOADS[profile]
     payload: dict = {
         "bench_version": BENCH_VERSION,
         "kind": "bench",
         "created_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "profile": profile,
-        "quick": profile == "quick",  # legacy flag, kept for old tooling
         "timeline": timeline,
         "spans": spans,
         "workload": {k: list(v) if isinstance(v, tuple) else v for k, v in w.items()},
@@ -285,22 +270,32 @@ def save_bench(payload: dict, path: Union[str, Path]) -> Path:
     The file accumulates a ``bench-trajectory``: one entry per benchmark
     run, so throughput history is a committed artifact and regressions
     show up as diffs (``tools/check_bench.py`` gates on the last entry).
-    A legacy single-payload file is converted in place, keeping the old
-    result as the trajectory's first entry.
+
+    An existing file that is not a trajectory — unparseable JSON (a
+    merge-conflict marker is enough), a list, a lone payload — raises
+    :class:`ValueError` naming ``path`` and is left byte-for-byte
+    untouched: replacing it would silently drop the whole history.
     """
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     entries: list[dict] = []
     if path.exists():
         try:
             existing = json.loads(path.read_text())
-        except json.JSONDecodeError:
-            existing = None
-        if isinstance(existing, dict):
-            if existing.get("kind") == "bench-trajectory":
-                entries = list(existing.get("entries", []))
-            elif existing.get("kind") == "bench":  # legacy single payload
-                entries = [existing]
+        except json.JSONDecodeError as exc:
+            raise ValueError(
+                f"{path}: not valid JSON ({exc}); refusing to overwrite the "
+                "bench trajectory"
+            ) from exc
+        if (
+            not isinstance(existing, dict)
+            or existing.get("kind") != "bench-trajectory"
+            or not isinstance(existing.get("entries", []), list)
+        ):
+            raise ValueError(
+                f"{path}: not a bench-trajectory file; refusing to overwrite it"
+            )
+        entries = existing.get("entries", [])
+    path.parent.mkdir(parents=True, exist_ok=True)
     entries.append(payload)
     wrapped = {
         "kind": "bench-trajectory",
@@ -316,9 +311,8 @@ def format_bench(payload: dict) -> str:
     cache = payload["field_cache"]
     tl = ", timelines on" if payload.get("timeline") else ""
     tl += ", spans on" if payload.get("spans") else ""
-    profile = payload.get("profile") or ("quick" if payload.get("quick") else "canonical")
     lines = [
-        f"repro bench ({profile} workload{tl}, "
+        f"repro bench ({payload['profile']} workload{tl}, "
         f"{payload['n_runs']} runs)",
         f"wall time        {payload['wall_time_s']:.3f} s "
         f"({payload['runs_per_sec']:.2f} runs/s)",

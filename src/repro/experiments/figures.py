@@ -419,7 +419,7 @@ def figure_large_density(
 
     Extends the paper's fig-5 question — does aggregation keep paying as
     the network densifies? — past the 350-node band the paper measured,
-    into the regime the vectorized PHY kernel makes tractable.
+    on the ``large`` bench workload's short-run geometry.
     """
     return _run(
         "large-density", profile, densities, trials, workers, progress, store,

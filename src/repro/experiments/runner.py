@@ -63,7 +63,6 @@ __all__ = [
     "ObservedRun",
     "build_world",
     "resolve_kernel",
-    "VECTOR_KERNEL_MIN_NODES",
     "World",
     "FailureDriver",
     "TRACKING_SPEC",
@@ -162,24 +161,26 @@ def _place_sources(
     return event_radius_sources(field, cfg.n_sources, radius=cfg.range_m, rng=rng, exclude=sinks)
 
 
-#: ``kernel="auto"`` switches to the vectorized PHY at this node count.
-#: Below it, numpy per-call overhead on small fan-outs makes the scalar
-#: path faster; above it, batched cohorts win (see DESIGN.md §13).
-VECTOR_KERNEL_MIN_NODES = 1000
-
-
 def resolve_kernel(kernel: str, n_nodes: int) -> str:
-    """Resolve ``"auto"`` to a concrete PHY kernel for a network size."""
-    if kernel == "auto":
-        return "vector" if n_nodes >= VECTOR_KERNEL_MIN_NODES else "scalar"
-    return kernel
+    """Name the PHY kernel a run uses: always ``"scalar"``.
+
+    Compatibility check for callers that still pass a kernel name
+    (``"auto"`` or ``"scalar"``); the vectorized kernel was removed
+    (DESIGN.md §13), so any other name raises :class:`ValueError`.
+    ``n_nodes`` no longer affects the choice.
+    """
+    if kernel not in ("auto", "scalar"):
+        raise ValueError(
+            f"unknown PHY kernel {kernel!r}: the vector kernel was removed; "
+            "the scalar fan-out is the only kernel ('auto' and 'scalar' select it)"
+        )
+    return "scalar"
 
 
 def build_world(
     cfg: ExperimentConfig,
     obs: Optional[ObsOptions] = None,
     field_cache: Optional[FieldCache] = None,
-    kernel: str = "auto",
 ) -> World:
     """Construct the full simulation for one config (without running it).
 
@@ -188,13 +189,6 @@ def build_world(
     ``(seed, n, field_size, range_m)`` geometry once per scheme, and the
     cache removes that duplicate work without touching any RNG stream.
     Pass ``field_cache=FieldCache(maxsize=0)`` to force a fresh build.
-
-    ``kernel`` selects the PHY fan-out implementation: ``"vector"``
-    batches each broadcast over numpy SoA state; ``"scalar"`` is the
-    per-object reference path; ``"auto"`` (the default everywhere)
-    picks vector at ``>= VECTOR_KERNEL_MIN_NODES`` nodes and scalar
-    below, where small fan-outs make per-call numpy overhead a net
-    loss.  RunMetrics and timelines are bit-identical between the two.
     """
     sim = Simulator()
     if obs is not None:
@@ -220,7 +214,6 @@ def build_world(
         sim,
         tracer,
         RadioParams(range_m=cfg.range_m),
-        kernel=resolve_kernel(kernel, cfg.n_nodes),
         model=model_from_spec(cfg.channel, cfg.range_m),
     )
     nodes = [
@@ -293,7 +286,6 @@ def run_experiment(
     obs: Optional[ObsOptions] = None,
     field_cache: Optional[FieldCache] = None,
     store=None,
-    kernel: str = "auto",
 ) -> RunMetrics:
     """Run one experiment end to end and reduce it to metrics.
 
@@ -312,7 +304,7 @@ def run_experiment(
         cached = store.get(cfg)
         if cached is not None:
             return cached
-    observed = run_observed(cfg, obs, field_cache=field_cache, kernel=kernel)
+    observed = run_observed(cfg, obs, field_cache=field_cache)
     if store is not None:
         store.put(cfg, observed.metrics)
         if observed.timeline is not None:
@@ -332,8 +324,12 @@ def run_observed(
     the requested instruments are attached before the run and their
     artifacts (profile report, JSONL trace, ``manifest.json``) are
     collected afterwards.
+
+    ``kernel`` is kept for callers that still name one; it is checked by
+    :func:`resolve_kernel` and otherwise ignored.
     """
-    world = build_world(cfg, obs, field_cache=field_cache, kernel=kernel)
+    resolve_kernel(kernel, cfg.n_nodes)
+    world = build_world(cfg, obs, field_cache=field_cache)
     sim, tracer = world.sim, world.tracer
 
     profiler: Optional[Profiler] = None

@@ -2,7 +2,7 @@
 
 The paper's entire density result rests on a fixed 40 m disc radio
 (:mod:`repro.net.radio`).  This module extracts that assumption behind a
-small strategy interface so the same simulator — both PHY kernels, the
+small strategy interface so the same simulator — the PHY fan-out, the
 MAC, energy attribution, timelines — can run under a realistic channel:
 
 * :class:`DiscModel` — today's semantics, bit-identical: a frame is
@@ -31,9 +31,7 @@ Math (units in dB/dBm, powers converted once to linear mW):
   linear capture threshold and ``smax`` is the maximum over the frame's
   airtime of the receiver's same-band running power sum (its own power
   included).  The running sum only increases at arrival starts, so
-  tracking the max at starts is exact, and elementwise float64 array
-  math reproduces the scalar arithmetic bitwise (the kernel-equivalence
-  contract, DESIGN.md §14).
+  tracking the max at starts is exact (DESIGN.md §14).
 
 The *spec* (:class:`ChannelSpec`) is a frozen, JSON-friendly dataclass
 that lives inside :class:`~repro.experiments.config.ExperimentConfig`
@@ -142,12 +140,11 @@ class ChannelModel:
     conforming model must be:
 
     * **pure** — ``link()`` is a function of squared distances only, so
-      the neighbor/rx-power cache both kernels share is deterministic
-      and RNG-free;
-    * **kernel-agnostic** — it never sees per-event state; anything
-      per-frame (interference sums, SINR tests) lives in the Channel so
-      the scalar and vector kernels provably execute the same per-cell
-      arithmetic;
+      the channel's neighbor/rx-power cache is deterministic and
+      RNG-free;
+    * **stateless per frame** — it never sees per-event state; anything
+      per-frame (interference sums, SINR tests) lives in the Channel
+      and its radios;
     * **energy-neutral** — eligibility decides who pays promiscuous
       receive energy; decode failures (collision or SINR) still charge
       the receiver, exactly like the disc baseline.

@@ -16,8 +16,7 @@ from ..sim import RngRegistry, Simulator, Tracer
 from .energy import EnergyMeter, EnergyParams
 from .mac import CsmaMac, MacParams
 from .packet import BROADCAST
-from .radio import Channel, Radio, VectorRadio
-from .state import MeterView
+from .radio import Channel, Radio
 
 __all__ = ["Node", "ProtocolAgent", "BROADCAST"]
 
@@ -50,15 +49,8 @@ class Node:
         self.sim = sim
         self.tracer = tracer
         self._up = True
-        eparams = energy_params or EnergyParams()
-        if channel.state is not None:
-            # Vector kernel: meter and radio are views over one SoA row.
-            row = channel.state.add_node(x, y)
-            self.energy = MeterView(channel.state, row, eparams)
-            self.radio = VectorRadio(node_id, x, y, channel, self.energy, row)
-        else:
-            self.energy = EnergyMeter(eparams)
-            self.radio = Radio(node_id, x, y, channel, self.energy)
+        self.energy = EnergyMeter(energy_params or EnergyParams())
+        self.radio = Radio(node_id, x, y, channel, self.energy)
         self.mac = CsmaMac(
             sim,
             self.radio,

@@ -79,15 +79,6 @@ class SensorField:
     def n(self) -> int:
         return len(self.positions)
 
-    @property
-    def seed(self) -> int:
-        """Deprecated alias for :attr:`redraws`.
-
-        Historical misnomer: this was never the RNG seed, it was the
-        redraw attempt index.  Kept read-only for compatibility.
-        """
-        return self.redraws
-
     def _build_graph(self, radius: float) -> nx.Graph:
         g = nx.Graph()
         g.add_nodes_from(range(self.n))

@@ -2,6 +2,9 @@
 
 import json
 
+import pytest
+
+from repro.cli import main
 from repro.experiments.bench import (
     BENCH_VERSION,
     bench_configs,
@@ -13,8 +16,8 @@ from repro.experiments.bench import (
 
 class TestBenchConfigs:
     def test_deterministic_and_paired(self):
-        a = bench_configs(quick=True)
-        b = bench_configs(quick=True)
+        a = bench_configs(profile="quick")
+        b = bench_configs(profile="quick")
         assert a == b
         # paired: consecutive scheme pair shares its seed
         assert a[0].seed == a[1].seed
@@ -27,12 +30,12 @@ class TestBenchConfigs:
         assert {c.n_nodes for c in configs} == {50, 150, 250}
 
     def test_quick_is_smaller(self):
-        assert len(bench_configs(quick=True)) < len(bench_configs())
+        assert len(bench_configs(profile="quick")) < len(bench_configs())
 
 
 class TestRunBench:
     def test_quick_payload_schema_and_artifact(self, tmp_path):
-        payload = run_bench(quick=True)
+        payload = run_bench(profile="quick")
         for key in (
             "bench_version",
             "wall_time_s",
@@ -47,7 +50,8 @@ class TestRunBench:
         ):
             assert key in payload, key
         assert payload["bench_version"] == BENCH_VERSION
-        assert payload["quick"] is True
+        assert payload["profile"] == "quick"
+        assert "quick" not in payload
         assert payload["n_runs"] == len(payload["per_run"]) == 4
         assert payload["wall_time_s"] > 0
         assert payload["events_processed"] > 0
@@ -71,6 +75,58 @@ class TestRunBench:
         assert "wall time" in text
 
     def test_parallel_pass_is_identical(self):
-        payload = run_bench(quick=True, workers=2)
+        payload = run_bench(profile="quick", workers=2)
         assert payload["parallel"]["identical"] is True
         assert payload["parallel"]["workers"] == 2
+
+
+def _payload(i: int) -> dict:
+    return {"kind": "bench", "profile": "quick", "runs_per_sec": float(i)}
+
+
+class TestSaveBenchKeepsHistory:
+    """A trajectory file that does not parse as one must never be
+    replaced by a one-entry trajectory: that silently drops every
+    committed bench result."""
+
+    def _trajectory(self, tmp_path):
+        path = tmp_path / "BENCH_sweep.json"
+        save_bench(_payload(1), path)
+        save_bench(_payload(2), path)
+        assert len(json.loads(path.read_text())["entries"]) == 2
+        return path
+
+    def test_merge_conflict_marker_raises_and_leaves_file(self, tmp_path):
+        path = self._trajectory(tmp_path)
+        path.write_text("<<<<<<< HEAD\n" + path.read_text())
+        before = path.read_bytes()
+        with pytest.raises(ValueError, match="not valid JSON"):
+            save_bench(_payload(3), path)
+        assert path.read_bytes() == before
+
+    def test_json_list_raises_and_leaves_file(self, tmp_path):
+        path = tmp_path / "BENCH_sweep.json"
+        path.write_text(json.dumps([_payload(1), _payload(2)]))
+        before = path.read_bytes()
+        with pytest.raises(ValueError, match="not a bench-trajectory"):
+            save_bench(_payload(3), path)
+        assert path.read_bytes() == before
+
+    def test_single_payload_file_is_not_converted(self, tmp_path):
+        path = tmp_path / "BENCH_sweep.json"
+        path.write_text(json.dumps(_payload(1)))
+        before = path.read_bytes()
+        with pytest.raises(ValueError, match="not a bench-trajectory"):
+            save_bench(_payload(2), path)
+        assert path.read_bytes() == before
+
+    def test_cli_exits_1_naming_the_path(self, tmp_path, monkeypatch, capsys):
+        import repro.experiments.bench as bench
+
+        path = self._trajectory(tmp_path)
+        path.write_text("<<<<<<< HEAD\n" + path.read_text())
+        before = path.read_bytes()
+        monkeypatch.setattr(bench, "run_bench", lambda **kw: _payload(3))
+        assert main(["bench", "--profile", "quick", "--out", str(path)]) == 1
+        assert str(path) in capsys.readouterr().err
+        assert path.read_bytes() == before

@@ -164,3 +164,25 @@ class TestFieldProvenance:
         assert second.manifest["field"]["cache_hit"] is True
         assert second.field_cache_hit
         assert second.events_processed > 0
+
+
+class TestKernelShim:
+    """``run_observed`` and ``resolve_kernel`` still take a kernel name,
+    but the scalar fan-out is the only PHY kernel left."""
+
+    def test_vector_kernel_rejected(self):
+        from repro.experiments.runner import run_observed
+
+        with pytest.raises(ValueError, match="vector kernel was removed"):
+            run_observed(cfg(), kernel="vector")
+
+    def test_auto_resolves_to_scalar_at_any_size(self):
+        from repro.experiments.runner import resolve_kernel
+
+        assert resolve_kernel("auto", 5000) == "scalar"
+        assert resolve_kernel("scalar", 50) == "scalar"
+
+    def test_auto_runs_the_default_path(self):
+        from repro.experiments.runner import run_observed
+
+        assert run_observed(cfg(), kernel="auto").metrics == run_experiment(cfg())

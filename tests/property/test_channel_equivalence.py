@@ -5,8 +5,8 @@ argument: a pathloss config whose sensitivity is unreachable (so link
 eligibility collapses to the squared-distance ``max_range_m`` cutoff —
 the disc neighbor test verbatim) with capture disabled (so corruption
 uses the disc all-or-nothing logic) must reproduce the disc channel's
-RunMetrics *bit-identically*, on both kernels.  Anything less means the
-abstraction changed the physics it claims to merely parameterize.
+RunMetrics *bit-identically*.  Anything less means the abstraction
+changed the physics it claims to merely parameterize.
 """
 
 import dataclasses
@@ -34,14 +34,13 @@ def _config(seed: int, scheme: str, **overrides) -> ExperimentConfig:
 
 
 @pytest.mark.parametrize("seed", [3, 11, 29])
-@pytest.mark.parametrize("kernel", ["scalar", "vector"])
-def test_degenerate_pathloss_reproduces_disc(seed, kernel):
+def test_degenerate_pathloss_reproduces_disc(seed):
     scheme = ("greedy", "opportunistic")[seed % 2]
     disc = _config(seed, scheme)
     degen = _config(seed, scheme, channel=ChannelSpec.degenerate_disc(disc.range_m))
 
-    a = run_observed(disc, kernel=kernel)
-    b = run_observed(degen, kernel=kernel)
+    a = run_observed(disc)
+    b = run_observed(degen)
 
     assert dataclasses.asdict(a.metrics) == dataclasses.asdict(b.metrics)
     assert a.events_processed == b.events_processed

@@ -7,7 +7,7 @@ dropped by more than the threshold (default 25%).
 
 Usage::
 
-    PYTHONPATH=src python -m repro bench --quick --out /tmp/bench.json
+    PYTHONPATH=src python -m repro bench --profile quick --out /tmp/bench.json
     python tools/check_bench.py /tmp/bench.json \
         --baseline BENCH_sweep.json --threshold 0.25
 
