@@ -73,10 +73,10 @@ from .runner import (
 from .bench import bench_configs, format_bench, run_bench, save_bench
 from .sweeps import (
     CellSummary,
+    RunExecutor,
     RunFailure,
     SweepError,
     cell_seed,
-    paired_sweep,
     run_configs,
 )
 
@@ -104,7 +104,7 @@ __all__ = [
     "CellSummary",
     "RunFailure",
     "SweepError",
-    "paired_sweep",
+    "RunExecutor",
     "run_configs",
     "cell_seed",
     "bench_configs",

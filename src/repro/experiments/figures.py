@@ -471,7 +471,7 @@ def figure_cell_config(
     """Rebuild the exact config of one ``(scheme, x, trial)`` figure cell.
 
     Mirrors how each ``figureN`` harness derives its base config and how
-    :func:`~repro.experiments.sweeps.paired_sweep` seeds each trial, so
+    :func:`~repro.experiments.sweeps.paired_plan` seeds each trial, so
     ``repro timeline <figure-manifest> --cell greedy@150`` can re-run one
     cell bit-identically.  Figure manifests persist cell ``x`` as a
     float; integral values are coerced back to int before seeding because

@@ -6,47 +6,50 @@ sink draws, and the same failure schedule — the paper's "our results are
 averaged over ten different generated fields" with variance reduced by
 pairing.
 
-Cells can run serially (deterministic order, easiest to debug) or across
-processes (``workers > 1``); results are identical either way because
-each run is fully determined by its config.  The parallel executor is
-hardened for long sweeps:
+Every batch of runs — a CLI sweep through :func:`run_configs` or a job of
+the :mod:`repro.service` daemon — goes through one :class:`RunExecutor`:
 
-* runs are dispatched in contiguous, order-preserving chunks (one IPC
-  round-trip per chunk, and a worker's field cache sees a cell's paired
-  runs back to back);
-* a config that raises does not kill the sweep — it becomes a
-  :class:`RunFailure` placeholder at its position, and the sweep raises
-  one :class:`SweepError` summary at the end (or hands the placeholders
-  back with ``return_failures=True``);
-* a hard-crashed worker (e.g. OOM-killed) only takes down the chunks it
-  owned — they also become placeholders;
-* ``max_tasks_per_child`` recycles worker processes (Python 3.11+) and
-  ``progress`` reports completion without touching results.
+* the store is probed first, and a run found there is never executed;
+* identical in-flight runs (same content key) share one execution;
+* runs execute one at a time in this process (``workers`` of 0), or on a
+  process pool with at most ``workers + 1`` runs handed to it at once;
+* each result is persisted the moment it resolves, so a re-run against
+  the same store executes only what is missing;
+* a config that raises becomes a :class:`RunFailure` placeholder at its
+  position, and so does every run on the pool when a worker dies hard
+  (signal, OOM); the pool is then rebuilt and later runs complete.
 
-Sweeps are also **resumable**: with ``store=`` pointing at a
-:class:`~repro.experiments.store.RunStore`, completed runs are looked up
-by content hash before dispatch and every fresh result is persisted the
-moment its future resolves, so re-running an interrupted sweep executes
-only the missing tail (see :mod:`repro.experiments.store`).
+Results are identical serial or parallel because each run is fully
+determined by its config.  :func:`run_configs` raises one
+:class:`SweepError` summary after the whole sweep (or hands the
+placeholders back with ``return_failures=True``).
 """
 
 from __future__ import annotations
 
+import dataclasses
+import os
 import statistics
-import sys
+import time
 import traceback as _traceback
-import warnings
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor
+
+# ``wait`` is unused here; it stays importable because the wall-clock
+# benchmark (``perfbench/sweep.py --trace 1``) wraps ``sweeps.wait`` and
+# ``sweeps._run_parallel`` by name.
+from concurrent.futures import wait  # noqa: F401
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Any, Callable, Iterable, Optional, Sequence, Union
 
+from ..obs.registry import MetricsRegistry
+from ..obs.spans import SpanStore, make_span, new_span_id
 from ..sim.rng import derive_seed
 from .config import ExperimentConfig, Profile
 from .metrics import RunMetrics
 from .runner import run_experiment
-from .store import RunStore, open_store
+from .store import RunStore, open_store, run_key
 
 #: a ``store=`` argument: an open handle, a directory path, or disabled
 StoreArg = Union[RunStore, str, Path, None]
@@ -59,9 +62,8 @@ __all__ = [
     "CellSummary",
     "RunFailure",
     "SweepError",
-    "summarize_cell",
+    "RunExecutor",
     "run_configs",
-    "paired_sweep",
     "paired_plan",
     "summarize_paired",
     "cell_seed",
@@ -103,10 +105,6 @@ class CellSummary:
         )
 
 
-def summarize_cell(scheme: str, x: float, runs: Sequence[RunMetrics]) -> CellSummary:
-    return CellSummary.from_runs(scheme, x, runs)
-
-
 @dataclass(frozen=True)
 class RunFailure:
     """Placeholder for one run that raised instead of producing metrics."""
@@ -138,171 +136,276 @@ class SweepError(RuntimeError):
         )
 
 
-def _safe_run(index: int, cfg: ExperimentConfig) -> Union[RunMetrics, RunFailure]:
-    """Run one experiment, converting any exception into a placeholder."""
+def _traced_safe_run(index: int, cfg: ExperimentConfig, ctx: Optional[dict[str, Any]]):
+    """The pool entry point: one experiment, any exception turned into a
+    :class:`RunFailure` placeholder, plus an in-worker span.
+
+    The worker process cannot reach the parent's :class:`SpanStore`, so
+    it returns ``(outcome, [span payload])`` built against the
+    propagated ids (``ctx``: trace_id + parent span id + run key); the
+    executor ingests the payloads and the tree crosses the process
+    boundary seamlessly.  With ``ctx=None`` (tracing off) the span list
+    is empty — the simulation itself is untouched either way, which is
+    what keeps RunMetrics bit-identical.
+    """
+    start_s = time.time()
     try:
-        return run_experiment(cfg)
+        outcome = run_experiment(cfg)
+    except (KeyboardInterrupt, SystemExit):
+        raise
     except BaseException as exc:  # noqa: BLE001 - isolate *any* run failure
-        if isinstance(exc, (KeyboardInterrupt, SystemExit)):
-            raise
-        return RunFailure(index, cfg, f"{type(exc).__name__}: {exc}", _traceback.format_exc())
+        error = f"{type(exc).__name__}: {exc}"
+        outcome = RunFailure(index, cfg, error, _traceback.format_exc())
+    if ctx is None:
+        return outcome, []
+    failed = isinstance(outcome, RunFailure)
+    span = make_span(
+        "worker.run",
+        ctx["trace_id"],
+        new_span_id(),
+        ctx["parent_id"],
+        start_s,
+        time.time(),
+        {"run.key": ctx.get("run_key"), "worker.pid": os.getpid()},
+        "error" if failed else "ok",
+    )
+    return outcome, [span]
 
 
-def _run_chunk(chunk: Sequence[tuple[int, ExperimentConfig]]) -> list:
-    """Worker entry point: run a contiguous slice of the sweep plan."""
-    return [(index, _safe_run(index, cfg)) for index, cfg in chunk]
+class RunExecutor:
+    """Store probe → in-flight dedup → process pool → persist on resolve.
 
+    ``workers`` pool processes execute the runs (``0``: one at a time in
+    this process).  ``store`` is a :class:`~repro.experiments.store.RunStore`
+    or has its ``get``/``contains``/``put``/``note_skipped`` (the daemon's
+    ``LocalDirBackend``).  ``spans`` records ``dedup``, ``worker.execute``
+    (``worker.run`` under it) and ``store.put`` below each run's parent
+    span.  ``registry`` counts ``service.pool_rebuilds``.
 
-def _default_chunksize(n_configs: int, workers: int) -> int:
-    # ~4 chunks per worker balances IPC overhead against stragglers while
-    # keeping a cell's paired runs adjacent in one worker's field cache.
-    return max(1, -(-n_configs // (workers * 4)))
+    Callers :meth:`probe` each run (its one counted hit or miss), then
+    await :meth:`run` for the misses.  ``asyncio`` is imported where it
+    is used: the import costs ~26 ms, and an all-hit sweep never needs it.
+    """
+
+    def __init__(
+        self,
+        workers: int = 0,
+        store: Any = None,
+        spans: Optional[SpanStore] = None,
+        registry: Optional[MetricsRegistry] = None,
+    ) -> None:
+        self.workers = workers
+        self.store = store
+        self.spans = spans if spans is not None else SpanStore(0)
+        self.registry = registry
+        self._pool: Optional[ProcessPoolExecutor] = None
+        #: bounds the runs handed to the pool, so a dead worker fails at
+        #: most ``workers + 1`` of them (created inside the event loop)
+        self._slots: Any = None
+        #: in-flight runs by content key, each resolving to its outcome
+        self._inflight: dict[str, Any] = {}
+
+    def probe(self, cfg: ExperimentConfig) -> Optional[RunMetrics]:
+        """The stored metrics for ``cfg``, or None; counts one hit or miss."""
+        return self.store.get(cfg) if self.store is not None else None
+
+    def start(self) -> None:
+        """Create the worker pool now rather than at the first run."""
+        if self.workers and self._pool is None:
+            self._pool = ProcessPoolExecutor(max_workers=self.workers)
+
+    async def close(self) -> None:
+        """Shut the pool down and join its workers."""
+        import asyncio
+
+        if self._pool is not None:
+            pool, self._pool = self._pool, None
+            # join the pool off-loop: wait=False would leave its
+            # management thread racing the interpreter's atexit hook
+            # (an "Exception ignored ... Bad file descriptor" at exit)
+            await asyncio.get_running_loop().run_in_executor(
+                None, lambda: pool.shutdown(wait=True, cancel_futures=True)
+            )
+
+    async def run(
+        self,
+        index: int,
+        cfg: ExperimentConfig,
+        key: Optional[str] = None,
+        parent: Optional[object] = None,
+    ) -> tuple[Union[RunMetrics, RunFailure], str]:
+        """Resolve one probed miss: ``(outcome, how)``.
+
+        ``how`` is ``"coalesced"`` (an identical run was in flight),
+        ``"hit"`` (the store gained the entry since the probe — another
+        job persisted it) or ``"executed"``.  The re-probe first checks
+        that the entry exists, so a cold run still counts one store miss.
+        A :class:`RunFailure` carries this call's ``index``.
+        """
+        import asyncio
+
+        key = key or run_key(cfg)
+        shared = self._inflight.get(key)
+        # another job may have stored the run since the caller's probe;
+        # checking existence first keeps a cold run at one counted miss
+        cached = None
+        if shared is None and self.store is not None and self.store.contains(cfg):
+            cached = self.store.get(cfg)
+        if shared is not None:
+            self.spans.event("dedup", parent=parent, verdict="in-flight", **{"run.key": key})
+            outcome, how = await shared, "coalesced"
+        elif cached is not None:
+            self.spans.event("dedup", parent=parent, verdict="store-hit", **{"run.key": key})
+            outcome, how = cached, "hit"
+        else:
+            self.spans.event("dedup", parent=parent, verdict="miss", **{"run.key": key})
+            future = asyncio.get_running_loop().create_future()
+            self._inflight[key] = future
+            outcome, how = None, "executed"
+            try:
+                outcome = await self._execute(index, cfg, key, parent)
+                # persist before waiters resume: whoever sees the run
+                # resolved finds it in the store
+                if self.store is not None:
+                    if isinstance(outcome, RunFailure):
+                        self.store.note_skipped()
+                    else:
+                        put = self.spans.start("store.put", parent=parent, **{"run.key": key})
+                        self.store.put(cfg, outcome)
+                        put.end()
+            finally:
+                self._inflight.pop(key, None)
+                if outcome is None:  # cancelled before the run resolved
+                    outcome = RunFailure(index, cfg, "run aborted")
+                if not future.done():
+                    future.set_result(outcome)
+        if isinstance(outcome, RunFailure) and outcome.index != index:
+            outcome = dataclasses.replace(outcome, index=index)
+        return outcome, how
+
+    async def _execute(
+        self, index: int, cfg: ExperimentConfig, key: str, parent
+    ) -> Union[RunMetrics, RunFailure]:
+        """One simulation; a dead worker becomes a failure and a new pool."""
+        import asyncio
+
+        if self._slots is None:
+            self._slots = asyncio.Semaphore(self.workers + 1)
+        async with self._slots:
+            span = self.spans.start("worker.execute", parent=parent, **{"run.key": key})
+            # propagate ids into the worker so its in-worker span parents
+            # under this one; skip the pickle round trip when off
+            ctx = (
+                {"trace_id": span.trace_id, "parent_id": span.span_id, "run_key": key}
+                if self.spans.enabled
+                else None
+            )
+            worker_spans: list = []
+            if not self.workers:
+                # blocks the loop: in-process mode is for a loop that
+                # runs nothing else (``run_configs``)
+                outcome, worker_spans = _traced_safe_run(index, cfg, ctx)
+            else:
+                self.start()
+                pool = self._pool
+                loop = asyncio.get_running_loop()
+                try:
+                    outcome, worker_spans = await loop.run_in_executor(
+                        pool, _traced_safe_run, index, cfg, ctx
+                    )
+                except BrokenProcessPool as exc:
+                    self._rebuild(pool)
+                    outcome = RunFailure(index, cfg, f"worker process died: {exc}")
+                except Exception as exc:  # pragma: no cover - defensive (pickling)
+                    error = f"{type(exc).__name__}: {exc}"
+                    outcome = RunFailure(index, cfg, error, _traceback.format_exc())
+            self.spans.ingest(worker_spans)
+            if isinstance(outcome, RunFailure):
+                span.end("error", error=outcome.error)
+            else:
+                span.end("ok")
+        return outcome
+
+    def _rebuild(self, broken: ProcessPoolExecutor) -> None:
+        """Replace a broken pool so later runs keep executing."""
+        if self._pool is not broken:
+            return  # another run already replaced it
+        broken.shutdown(wait=False, cancel_futures=True)
+        self._pool = None
+        self.start()
+        if self.registry is not None:
+            self.registry.counter("service.pool_rebuilds").inc()
 
 
 def _run_parallel(
-    indexed: Sequence[tuple[int, ExperimentConfig]],
-    workers: int,
-    chunksize: Optional[int],
-    max_tasks_per_child: Optional[int],
-    progress: Optional[Callable[[int, int], None]],
-    on_result: Optional[Callable[[int, object], None]] = None,
-) -> dict[int, object]:
-    """Run ``(index, config)`` pairs across workers.
+    executor: RunExecutor,
+    runs: Sequence[tuple[int, ExperimentConfig]],
+    resolved: Callable[[int, object], None],
+) -> None:
+    """Drive probed misses through ``executor`` on a private event loop.
 
-    Returns ``{index: outcome}``; indices are whatever the caller chose
-    (positions in the full sweep plan, so :class:`RunFailure.index` stays
-    meaningful even when a store pre-filtered the plan).  ``on_result``
-    fires in the parent as each chunk resolves — this is the persistence
-    hook, so a kill between chunks loses at most the in-flight chunks.
+    ``runs`` are ``(index, config)`` pairs; ``resolved(index, outcome)``
+    fires as each run resolves, after its store write.  The executor's
+    pool is shut down before this returns.
     """
-    total = len(indexed)
-    chunksize = chunksize or _default_chunksize(total, workers)
-    chunks = [indexed[i : i + chunksize] for i in range(0, total, chunksize)]
+    import asyncio
 
-    pool_kwargs: dict = {"max_workers": workers}
-    if max_tasks_per_child is not None:
-        if sys.version_info >= (3, 11):
-            # max_tasks_per_child requires a non-fork start method.
-            import multiprocessing
+    async def one(index: int, cfg: ExperimentConfig) -> None:
+        outcome, _how = await executor.run(index, cfg)
+        resolved(index, outcome)
 
-            pool_kwargs["max_tasks_per_child"] = max_tasks_per_child
-            pool_kwargs["mp_context"] = multiprocessing.get_context("spawn")
-        else:
-            warnings.warn(
-                "max_tasks_per_child needs Python >= 3.11; ignoring",
-                RuntimeWarning,
-                stacklevel=3,
-            )
+    async def main() -> None:
+        try:
+            await asyncio.gather(*(one(index, cfg) for index, cfg in runs))
+        finally:
+            await executor.close()
 
-    results: dict[int, object] = {}
-    done = 0
-    with ProcessPoolExecutor(**pool_kwargs) as pool:
-        future_chunks = {pool.submit(_run_chunk, chunk): chunk for chunk in chunks}
-        pending = set(future_chunks)
-        while pending:
-            finished, pending = wait(pending, return_when=FIRST_COMPLETED)
-            for future in finished:
-                chunk = future_chunks[future]
-                try:
-                    pairs = future.result()
-                except BrokenProcessPool as exc:
-                    # The worker owning this chunk died hard (signal/OOM);
-                    # every run it held becomes a placeholder.  Remaining
-                    # futures on the broken pool will surface here too.
-                    pairs = [
-                        (index, RunFailure(index, cfg, f"worker process died: {exc}"))
-                        for index, cfg in chunk
-                    ]
-                except BaseException as exc:  # pragma: no cover - defensive
-                    pairs = [
-                        (index, RunFailure(index, cfg, f"{type(exc).__name__}: {exc}"))
-                        for index, cfg in chunk
-                    ]
-                for index, outcome in pairs:
-                    results[index] = outcome
-                    if on_result is not None:
-                        on_result(index, outcome)
-                done += len(pairs)
-                if progress is not None:
-                    progress(done, total)
-    return results
+    asyncio.run(main())
 
 
 def run_configs(
     configs: Sequence[ExperimentConfig],
     workers: int = 0,
     *,
-    chunksize: Optional[int] = None,
-    max_tasks_per_child: Optional[int] = None,
     progress: Optional[Callable[[int, int], None]] = None,
     return_failures: bool = False,
     store: StoreArg = None,
 ) -> list:
-    """Run many experiments, optionally in parallel processes.
+    """Run many experiments through a :class:`RunExecutor`.
 
-    Results come back in config order regardless of worker scheduling.
-    Every config runs to completion even when some fail: failures become
-    :class:`RunFailure` placeholders at their positions.  By default a
-    single :class:`SweepError` summarizing all failures is raised *after*
-    the sweep finishes; with ``return_failures=True`` the mixed list is
-    returned instead.
+    ``workers`` above 1 runs them on that many pool processes, otherwise
+    in this process.  Results come back in config order.  Every config
+    runs to completion even when some fail: failures become
+    :class:`RunFailure` placeholders at their positions, and one
+    :class:`SweepError` summarizing them is raised *after* the sweep
+    (``return_failures=True`` returns the mixed list instead).
 
     ``store`` (a :class:`~repro.experiments.store.RunStore` or a
-    directory path) makes the sweep resumable: configs whose content hash
-    is already stored are *not* re-run (their cached metrics fill their
-    positions), and every fresh result is persisted as soon as it
-    resolves, so an interrupted sweep re-run against the same store only
-    executes the missing tail.  Hits count toward ``progress`` up front.
-
-    ``progress(done, total)`` is invoked as runs complete (per run when
-    serial, per chunk when parallel).  ``max_tasks_per_child`` recycles
-    worker processes after that many chunks (Python 3.11+).
+    directory path) makes the sweep resumable: stored configs are *not*
+    re-run, and every fresh result is persisted as soon as it resolves,
+    so a re-run after an interruption executes only the missing tail.  A
+    sweep whose every config is stored starts neither an event loop nor
+    a pool.  ``progress(done, total)`` fires once for the store hits,
+    then as each remaining run completes.
     """
     configs = list(configs)
     total = len(configs)
-    store = open_store(store)
-    results: list = [None] * total
-    plan: list[tuple[int, ExperimentConfig]]
-    if store is not None:
-        plan = []
-        for i, cfg in enumerate(configs):
-            cached = store.get(cfg)
-            if cached is not None:
-                results[i] = cached
-            else:
-                plan.append((i, cfg))
-        n_hits = total - len(plan)
-        if progress is not None and n_hits:
-            progress(n_hits, total)
-    else:
-        plan = list(enumerate(configs))
-        n_hits = 0
+    executor = RunExecutor(workers if workers > 1 else 0, open_store(store))
+    results: list = [executor.probe(cfg) for cfg in configs]
+    misses = [(i, cfg) for i, cfg in enumerate(configs) if results[i] is None]
+    done = total - len(misses)
+    if progress is not None and done:
+        progress(done, total)
 
-    def on_result(index: int, outcome: object) -> None:
-        if store is None:
-            return
-        if isinstance(outcome, RunMetrics):
-            store.put(configs[index], outcome)
-        else:
-            store.note_skipped()
+    def resolved(index: int, outcome: object) -> None:
+        nonlocal done
+        results[index] = outcome
+        done += 1
+        if progress is not None:
+            progress(done, total)
 
-    sub_progress = None
-    if progress is not None:
-        sub_progress = lambda done, _sub_total: progress(n_hits + done, total)  # noqa: E731
-
-    if workers and workers > 1 and len(plan) > 1:
-        outcomes = _run_parallel(
-            plan, workers, chunksize, max_tasks_per_child, sub_progress, on_result
-        )
-        for index, outcome in outcomes.items():
-            results[index] = outcome
-    else:
-        for done, (index, cfg) in enumerate(plan, start=1):
-            outcome = _safe_run(index, cfg)
-            results[index] = outcome
-            on_result(index, outcome)
-            if sub_progress is not None:
-                sub_progress(done, len(plan))
+    if misses:
+        _run_parallel(executor, misses, resolved)
     failures = [r for r in results if isinstance(r, RunFailure)]
     if failures and not return_failures:
         raise SweepError(failures, results)
@@ -318,10 +421,12 @@ def paired_plan(
 ) -> list[tuple[str, object, ExperimentConfig]]:
     """Enumerate a paired sweep's ``(scheme, x, config)`` plan.
 
-    This is the deterministic first half of :func:`paired_sweep` — the
-    exact run list with paired per-(x, trial) seeds — split out so other
-    executors (the :mod:`repro.service` daemon's job queue) can run the
-    same configs and produce bit-identical figures.
+    ``make_config(scheme, x, seed)`` builds the run config for one cell
+    member; the plan holds every (x, trial, scheme) combination, with
+    one seed per (x, trial) shared by all schemes.  The CLI's figures
+    and the :mod:`repro.service` daemon's jobs run the same plan through
+    :func:`run_configs` / :class:`RunExecutor`, so both produce
+    bit-identical figures.
     """
     trials = profile.trials if trials is None else trials
     if trials < 1:
@@ -341,9 +446,9 @@ def summarize_paired(
 ) -> list[CellSummary]:
     """Group a plan's run outcomes into sorted per-cell summaries.
 
-    The second half of :func:`paired_sweep`: ``results`` is the
-    order-preserving outcome list for ``plan`` (:class:`RunFailure`
-    placeholders are dropped; cells with no survivors disappear).
+    ``results`` is the order-preserving outcome list for ``plan``
+    (:class:`RunFailure` placeholders are dropped; cells with no
+    survivors disappear).
     """
     grouped: dict[tuple[str, object], list[RunMetrics]] = {}
     for (scheme, x, _cfg), run in zip(plan, results):
@@ -354,43 +459,3 @@ def summarize_paired(
         CellSummary.from_runs(scheme, float(x), runs)  # type: ignore[arg-type]
         for (scheme, x), runs in sorted(grouped.items(), key=lambda kv: (kv[0][1], kv[0][0]))
     ]
-
-
-def paired_sweep(
-    profile: Profile,
-    xs: Iterable,
-    make_config: Callable[[str, object, int], ExperimentConfig],
-    trials: int | None = None,
-    workers: int = 0,
-    schemes: Sequence[str] = COMPARISON_SCHEMES,
-    progress: Optional[Callable[[int, int], None]] = None,
-    on_error: str = "raise",
-    store: StoreArg = None,
-) -> list[CellSummary]:
-    """Run both schemes over all sweep values with paired seeds.
-
-    ``make_config(scheme, x, seed)`` builds the run config for one cell
-    member; the sweep enumerates every (scheme, x, trial) combination
-    (see :func:`paired_plan`).
-
-    ``on_error`` controls what happens when individual runs fail:
-    ``"raise"`` finishes the sweep and raises a :class:`SweepError`
-    summary carrying every completed result and failure placeholder;
-    ``"skip"`` summarizes the surviving runs of each cell (cells with no
-    survivors are dropped).
-
-    ``store`` makes the sweep resumable (see :func:`run_configs`): after
-    a partial failure, re-running the same sweep against the same store
-    executes only the runs that did not complete.
-    """
-    if on_error not in ("raise", "skip"):
-        raise ValueError(f"on_error must be 'raise' or 'skip', got {on_error!r}")
-    plan = paired_plan(profile, xs, make_config, trials=trials, schemes=schemes)
-    results = run_configs(
-        [cfg for _s, _x, cfg in plan],
-        workers=workers,
-        progress=progress,
-        return_failures=(on_error == "skip"),
-        store=store,
-    )
-    return summarize_paired(plan, results)

@@ -6,20 +6,20 @@ run, sweep, or figure spec over HTTP, get a job id, poll or stream its
 progress, and fetch results that are **bit-identical** to an in-process
 ``repro figure`` run — the daemon executes the exact
 :class:`~repro.experiments.figures.FigurePlan` configs through the same
-``_safe_run`` entry point and reassembles them through the same
-summarization path.
+:class:`~repro.experiments.sweeps.RunExecutor` that CLI sweeps use and
+reassembles them through the same summarization path.
 
 Layering (each module only looks down):
 
-* :mod:`.backend` — :class:`StorageBackend` abstraction over the
-  content-addressed :class:`~repro.experiments.store.RunStore`;
-  :class:`LocalDirBackend` adds a sqlite listing index.
+* :mod:`.backend` — :class:`LocalDirBackend`: the content-addressed
+  :class:`~repro.experiments.store.RunStore` plus a sqlite listing
+  index.
 * :mod:`.jobs` — untrusted-JSON request parsing into immutable
   :class:`JobRequest` specs, request-key hashing, the mutable
   :class:`Job` record.
-* :mod:`.scheduler` — :class:`JobScheduler`: priority queue, process
-  pool, store-hit short-circuit, job- and run-level coalescing,
-  persist-on-resolve.
+* :mod:`.scheduler` — :class:`JobScheduler`: priority queue, store-hit
+  short-circuit, job coalescing; it hands every run to the shared
+  ``RunExecutor`` (process pool, run coalescing, persist-on-resolve).
 * :mod:`.http` — :class:`ServiceDaemon`: the stdlib-asyncio HTTP/1.1
   JSON API with SSE progress streams and ``/metrics``.
 * :mod:`.client` — blocking :class:`ServiceClient` for scripts and the
@@ -38,7 +38,7 @@ in-worker spans propagated across the process boundary), and
 ``GET /api/v1/jobs/<id>/trace`` serves the assembled tree.
 """
 
-from .backend import LocalDirBackend, StorageBackend
+from .backend import LocalDirBackend
 from .client import ServiceClient, ServiceError
 from .http import ServiceDaemon, build_service
 from .jobs import DEFAULT_PRIORITY, Job, JobRequest, RequestError, parse_request
@@ -48,7 +48,6 @@ from .scheduler import JobScheduler
 from .top import render_top, run_top
 
 __all__ = [
-    "StorageBackend",
     "LocalDirBackend",
     "RequestError",
     "JobRequest",

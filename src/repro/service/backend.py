@@ -1,78 +1,33 @@
-"""Storage backends for the sweep service.
+"""Result storage for the sweep service.
 
-The daemon never talks to a :class:`~repro.experiments.store.RunStore`
-directly — it goes through a :class:`StorageBackend`, which narrows the
-store surface to what the service needs (hash-keyed run lookup/persist,
-entry/timeline fetch, fast listing) so a remote backend (S3 + a shared
-index, say) can slot in behind the same interface later.
+:class:`LocalDirBackend` is a local
+:class:`~repro.experiments.store.RunStore` directory fronted by a
+sqlite listing index.  Its run lookup and persist methods (``get``,
+``contains``, ``put``, ``note_skipped``) are the store's own, so the
+:class:`~repro.experiments.sweeps.RunExecutor` probes and persists
+through it exactly as it does through a plain ``RunStore``.
 
-:class:`LocalDirBackend` is the one shipped implementation: the
-content-addressed run directory stays exactly as ``RunStore`` lays it
-out (``runs/<sha256>.json`` payloads are authoritative, writes atomic),
-and a sqlite ``index.db`` rides beside it so listing thousands of
-entries for the ``/api/v1/runs`` endpoint is one indexed query instead
-of a directory scan.  The sqlite index is a cache with the same contract
-as ``index.json``: rebuildable from the payload files at any time
-(:meth:`LocalDirBackend.reindex`), never consulted for lookups.
+The content-addressed run directory stays exactly as ``RunStore`` lays
+it out (``runs/<sha256>.json`` payloads are authoritative, writes
+atomic), and a sqlite ``index.db`` rides beside it so listing thousands
+of entries for the ``/api/v1/runs`` endpoint is one indexed query
+instead of a directory scan.  The sqlite index is a cache with the same
+contract as ``index.json``: rebuildable from the payload files at any
+time (:meth:`LocalDirBackend.reindex`), never consulted for lookups.
 """
 
 from __future__ import annotations
 
-import abc
 import sqlite3
 from pathlib import Path
 from typing import Any, Optional, Union
 
 from ..experiments.config import ExperimentConfig
 from ..experiments.metrics import RunMetrics
-from ..experiments.store import RunStore, run_key
+from ..experiments.store import RunStore
 from ..obs.registry import MetricsRegistry
 
-__all__ = ["StorageBackend", "LocalDirBackend"]
-
-
-class StorageBackend(abc.ABC):
-    """What the service needs from result storage.
-
-    All methods are synchronous and fast (local disk / one sqlite
-    query); the scheduler calls them from the event loop thread.  A
-    future remote backend would wrap its network calls behind the same
-    signatures via an executor.
-    """
-
-    #: shared metrics registry; ``store.hit``/``store.miss`` land here
-    registry: MetricsRegistry
-
-    @abc.abstractmethod
-    def get_run(self, cfg: ExperimentConfig) -> Optional[RunMetrics]:
-        """Stored metrics for ``cfg`` (content-hash lookup), or None."""
-
-    @abc.abstractmethod
-    def put_run(self, cfg: ExperimentConfig, metrics: RunMetrics) -> str:
-        """Persist one completed run; returns its content key."""
-
-    @abc.abstractmethod
-    def entry(self, key: str) -> Optional[dict[str, Any]]:
-        """The full stored entry (identity + metrics) for a key."""
-
-    @abc.abstractmethod
-    def timeline(self, key: str) -> Optional[dict[str, Any]]:
-        """The stored probe timeline for a key, if any."""
-
-    @abc.abstractmethod
-    def summaries(self) -> list[dict[str, Any]]:
-        """One summary row per stored run (from the fast index)."""
-
-    @abc.abstractmethod
-    def reindex(self) -> int:
-        """Rebuild the fast index from authoritative storage."""
-
-    @abc.abstractmethod
-    def stats(self) -> dict[str, Any]:
-        """Backend counters for ``/metrics`` (hits, misses, entries)."""
-
-    def close(self) -> None:  # pragma: no cover - trivial default
-        """Release backend resources (db handles, connections)."""
+__all__ = ["LocalDirBackend"]
 
 
 _SCHEMA = """
@@ -98,11 +53,13 @@ _COLUMNS = (
 )
 
 
-class LocalDirBackend(StorageBackend):
+class LocalDirBackend:
     """A local ``RunStore`` directory fronted by a sqlite listing index.
 
+    All methods are synchronous and fast (local disk / one sqlite
+    query); the scheduler calls them from the event loop thread.
     ``index.db`` lives inside the store root, one row per entry, upserted
-    on every :meth:`put_run`.  Opening a backend over a store that
+    on every :meth:`put`.  Opening a backend over a store that
     already has entries (a warm cache produced by ``repro figure`` runs)
     lazily reindexes so the listing is complete from the first request.
     """
@@ -122,16 +79,25 @@ class LocalDirBackend(StorageBackend):
     # ------------------------------------------------------------------
     # run lookup / persist
     # ------------------------------------------------------------------
-    def get_run(self, cfg: ExperimentConfig) -> Optional[RunMetrics]:
+    def get(self, cfg: ExperimentConfig) -> Optional[RunMetrics]:
+        """Stored metrics for ``cfg``, or None; counts a hit or a miss."""
         return self.store.get(cfg)
 
-    def put_run(self, cfg: ExperimentConfig, metrics: RunMetrics) -> str:
-        key = run_key(cfg)
-        entry_path = self.store.put(cfg, metrics)
-        entry = self.store._read_entry(entry_path)
+    def contains(self, cfg: ExperimentConfig) -> bool:
+        """Whether ``cfg`` is stored, without counting a lookup."""
+        return self.store.contains(cfg)
+
+    def put(self, cfg: ExperimentConfig, metrics: RunMetrics) -> Path:
+        """Persist one completed run and index it; returns the entry path."""
+        path = self.store.put(cfg, metrics)
+        entry = self.store._read_entry(path)
         if entry is not None:
             self._upsert(self.store._summary(entry))
-        return key
+        return path
+
+    def note_skipped(self) -> None:
+        """Record a run that completed without metrics (a failure)."""
+        self.store.note_skipped()
 
     def entry(self, key: str) -> Optional[dict[str, Any]]:
         return self.store._read_entry(self.store.path_for(key))
@@ -149,6 +115,7 @@ class LocalDirBackend(StorageBackend):
         return [dict(zip(_COLUMNS, row)) for row in rows]
 
     def reindex(self) -> int:
+        """Rebuild the sqlite index from the payload files."""
         rows = self.store.ls()
         with self._db:
             self._db.execute("DELETE FROM runs")
@@ -157,6 +124,7 @@ class LocalDirBackend(StorageBackend):
         return len(rows)
 
     def stats(self) -> dict[str, Any]:
+        """Counters for ``/metrics``: entries, hits, misses, persists."""
         return {"entries": self._count(), **self.store.stats.as_dict()}
 
     def close(self) -> None:

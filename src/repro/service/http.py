@@ -44,7 +44,7 @@ from urllib.parse import parse_qs
 
 from ..obs.registry import MetricsRegistry, summarize_histogram
 from ..obs.spans import DEFAULT_SPAN_CAPACITY, SpanStore, span_tree
-from .backend import StorageBackend
+from .backend import LocalDirBackend
 from .jobs import RequestError, parse_request
 from .logs import JsonLogger
 from .scheduler import JobScheduler
@@ -79,7 +79,7 @@ class ServiceDaemon:
 
     def __init__(
         self,
-        backend: StorageBackend,
+        backend: LocalDirBackend,
         scheduler: JobScheduler,
         host: str = "127.0.0.1",
         port: int = 0,
@@ -448,8 +448,6 @@ def build_service(
     ``span_capacity=0`` disables retention without touching the serving
     path); ``log_json`` turns on structured JSON logs on stderr.
     """
-    from .backend import LocalDirBackend
-
     backend = LocalDirBackend(store_root, registry=registry)
     span_store = SpanStore(span_capacity if spans else 0, registry=backend.registry)
     log = JsonLogger(enabled=log_json)

@@ -1,102 +1,59 @@
-"""Async job scheduler: priority queue over a process pool.
+"""Async job scheduler: the daemon's priority queue of jobs.
 
-The scheduler owns the daemon's execution state:
+The scheduler keeps only job concerns: a **priority queue** of accepted
+jobs (``(priority, seq)`` order, so equal priorities drain FIFO) drained
+by N async job workers, job coalescing, progress notification for SSE
+streams, the job-lifecycle JSON log lines, and the ``job`` /
+``store.probe`` / ``queue.wait`` / ``run`` spans of each job's trace.
+Dedup happens at three prices, cheapest first:
 
-* a **priority queue** of accepted jobs (``(priority, seq)`` order, so
-  equal priorities drain FIFO) drained by N async job workers;
-* a shared :class:`~concurrent.futures.ProcessPoolExecutor` that runs
-  the actual simulations via the same picklable
-  :func:`~repro.experiments.sweeps._safe_run` entry point the sweep
-  machinery uses — results are bit-identical to a local run;
-* three layers of **work deduplication**, cheapest first:
+1. *store hits* — every run is probed at submission, so a warm request
+   finishes without queueing at all (``from_cache``);
+2. *job coalescing* — a submission whose request key matches a
+   queued/running job returns that job's id instead of a duplicate;
+3. *run coalescing* — jobs that overlap on individual runs share one
+   in-flight execution per content key.
 
-  1. *store hits* — every run is probed against the backend at
-     submission, so a warm request finishes without queueing at all
-     (``from_cache``);
-  2. *job coalescing* — a submission whose request key matches a
-     queued/running job returns that job's id instead of enqueueing a
-     duplicate;
-  3. *run coalescing* — distinct jobs that overlap on individual runs
-     share in-flight futures keyed by content hash, so each unique run
-     executes exactly once no matter how many jobs want it.
-
-Results are persisted through the backend **the moment each future
-resolves**, before the owning job finishes — a crash loses at most the
-in-flight runs, and later duplicate submissions resolve as store hits.
-
-A hard-crashed pool worker (``BrokenProcessPool``) fails the affected
-runs, and the pool is rebuilt so the daemon keeps serving subsequent
-jobs.
+Every run goes to the :class:`~repro.experiments.sweeps.RunExecutor`
+that CLI sweeps use too, which owns the process pool: it persists each
+result the moment it resolves (a crash loses at most the runs in
+flight), fails only the runs on the pool when a worker dies, and
+rebuilds the pool so the daemon keeps serving.
 """
 
 from __future__ import annotations
 
 import asyncio
-import dataclasses
 import itertools
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
-from typing import Any, Optional
+from typing import Optional
 
-from ..experiments.metrics import RunMetrics
-from ..experiments.sweeps import RunFailure, _safe_run
+from ..experiments.sweeps import RunExecutor, RunFailure
 from ..obs.registry import MetricsRegistry
-from ..obs.spans import SpanStore, make_span, new_span_id
-from .backend import StorageBackend
+from ..obs.spans import SpanStore
+from .backend import LocalDirBackend
 from .jobs import Job, JobRequest
 from .logs import JsonLogger
 
-__all__ = ["JobScheduler", "_traced_safe_run"]
+__all__ = ["JobScheduler"]
 
 #: job wall-clock histogram edges (seconds) — jobs run longer than the
 #: default latency-oriented buckets
 JOB_WALL_BUCKETS = (0.005, 0.02, 0.1, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0, 60.0, 120.0, 300.0)
 
 
-def _traced_safe_run(index: int, cfg, ctx: Optional[dict[str, Any]]):
-    """Pool entry point: ``_safe_run`` plus an in-worker span.
-
-    The worker process cannot reach the daemon's :class:`SpanStore`, so
-    it returns ``(outcome, [span payload])`` built against the
-    propagated ids (``ctx``: trace_id + parent span id + run key); the
-    scheduler ingests the payloads and the tree crosses the process
-    boundary seamlessly.  With ``ctx=None`` (tracing off) this is
-    ``_safe_run`` plus one tuple — the simulation itself is untouched
-    either way, which is what keeps RunMetrics bit-identical.
-    """
-    start_s = time.time()
-    outcome = _safe_run(index, cfg)
-    if ctx is None:
-        return outcome, []
-    failed = isinstance(outcome, RunFailure)
-    span = make_span(
-        "worker.run",
-        ctx["trace_id"],
-        new_span_id(),
-        ctx["parent_id"],
-        start_s,
-        time.time(),
-        {"run.key": ctx.get("run_key"), "worker.pid": os.getpid()},
-        "error" if failed else "ok",
-    )
-    return outcome, [span]
-
-
 class JobScheduler:
-    """Priority job queue + process-pool execution + coalescing."""
+    """Priority job queue + job coalescing over one :class:`RunExecutor`."""
 
     def __init__(
         self,
-        backend: StorageBackend,
+        backend: LocalDirBackend,
         run_workers: int = 2,
         job_workers: Optional[int] = None,
         registry: Optional[MetricsRegistry] = None,
         spans: Optional[SpanStore] = None,
         log: Optional[JsonLogger] = None,
     ) -> None:
-        self.backend = backend
         self.registry = registry if registry is not None else backend.registry
         #: span sink — on by default (bounded ring); SpanStore(0) disables
         self.spans = spans if spans is not None else SpanStore(registry=self.registry)
@@ -111,9 +68,9 @@ class JobScheduler:
         self._job_seq = itertools.count(1)
         #: queued/running jobs by request key (job-level coalescing)
         self._active: dict[str, Job] = {}
-        #: in-flight run futures by content key (run-level coalescing)
-        self._inflight: dict[str, asyncio.Future] = {}
-        self._pool: Optional[ProcessPoolExecutor] = None
+        self.executor = RunExecutor(
+            self.run_workers, backend, spans=self.spans, registry=self.registry
+        )
         self._tasks: list[asyncio.Task] = []
         self._wakeup: Optional[asyncio.Event] = None
         self._gauge_queue = self.registry.gauge("service.queue_depth")
@@ -124,7 +81,7 @@ class JobScheduler:
     # ------------------------------------------------------------------
     async def start(self) -> None:
         self._wakeup = asyncio.Event()
-        self._pool = ProcessPoolExecutor(max_workers=self.run_workers)
+        self.executor.start()
         self.registry.gauge("service.run_workers").set(self.run_workers)
         self.registry.gauge("service.job_workers").set(self.job_workers)
         self._tasks = [
@@ -141,14 +98,7 @@ class JobScheduler:
             except asyncio.CancelledError:
                 pass
         self._tasks = []
-        if self._pool is not None:
-            pool, self._pool = self._pool, None
-            # join the pool off-loop: wait=False would leave its
-            # management thread racing the interpreter's atexit hook
-            # (an "Exception ignored ... Bad file descriptor" at exit)
-            await asyncio.get_running_loop().run_in_executor(
-                None, lambda: pool.shutdown(wait=True, cancel_futures=True)
-            )
+        await self.executor.close()
 
     # ------------------------------------------------------------------
     # submission
@@ -198,7 +148,7 @@ class JobScheduler:
         self.registry.counter("service.jobs_submitted", kind=request.kind).inc()
         probe = self.spans.start("store.probe", parent=span, runs=job.total)
         for i, cfg in enumerate(request.configs):
-            cached = self.backend.get_run(cfg)
+            cached = self.executor.probe(cfg)
             if cached is not None:
                 job.results[i] = cached
                 job.hits += 1
@@ -345,106 +295,23 @@ class JobScheduler:
         run_span = self.spans.start(
             "run", parent=job.span, **{"run.key": key, "index": index}
         )
-        shared = self._inflight.get(key)
-        if shared is not None:
-            # another job owns this run; share its future
+        outcome, how = await self.executor.run(index, cfg, key=key, parent=run_span)
+        failed = isinstance(outcome, RunFailure)
+        fields = {"job": job.id, "correlation_id": job.trace_id, "run.key": key}
+        if how == "coalesced":
             self.registry.counter("service.runs_coalesced").inc()
             job.coalesced += 1
-            self.spans.event(
-                "dedup", parent=run_span, verdict="in-flight", **{"run.key": key}
-            )
-            self.log.log(
-                "run.coalesced", job=job.id, correlation_id=job.trace_id, **{"run.key": key}
-            )
-            outcome = await shared
+            self.log.log("run.coalesced", **fields)
+        elif how == "hit":
+            job.hits += 1
+            self.log.log("run.hit", **fields)
         else:
-            # the run may have landed in the store since submission
-            # (an overlapping job persisted it) — re-probe before paying
-            # for an execution, preserving exactly-once per content key
-            cached = self.backend.get_run(cfg)
-            if cached is not None:
-                job.hits += 1
-                self.spans.event(
-                    "dedup", parent=run_span, verdict="store-hit", **{"run.key": key}
-                )
-                self.log.log(
-                    "run.hit", job=job.id, correlation_id=job.trace_id, **{"run.key": key}
-                )
-                outcome = cached
-            else:
-                self.spans.event(
-                    "dedup", parent=run_span, verdict="miss", **{"run.key": key}
-                )
-                future: asyncio.Future = asyncio.get_running_loop().create_future()
-                self._inflight[key] = future
-                outcome = None
-                try:
-                    outcome = await self._execute_run(index, cfg, key, run_span)
-                    if isinstance(outcome, RunMetrics):
-                        # persist before resolving waiters: by the time
-                        # anyone observes completion, the store has it
-                        put = self.spans.start(
-                            "store.put", parent=run_span, **{"run.key": key}
-                        )
-                        self.backend.put_run(cfg, outcome)
-                        put.end()
-                    else:
-                        self.registry.counter("service.runs_failed").inc()
-                    job.executed += 1
-                    self.log.log(
-                        "run.executed",
-                        job=job.id,
-                        correlation_id=job.trace_id,
-                        ok=isinstance(outcome, RunMetrics),
-                        **{"run.key": key},
-                    )
-                finally:
-                    self._inflight.pop(key, None)
-                    if outcome is None:  # cancelled before the run resolved
-                        outcome = RunFailure(index, cfg, "run aborted")
-                    if not future.done():
-                        future.set_result(outcome)
-        failed = isinstance(outcome, RunFailure)
+            self.registry.counter("service.runs_executed").inc()
+            if failed:
+                self.registry.counter("service.runs_failed").inc()
+            job.executed += 1
+            self.log.log("run.executed", ok=not failed, **fields)
         run_span.end("error" if failed else "ok")
-        if failed and outcome.index != index:
-            outcome = dataclasses.replace(outcome, index=index)
         job.results[index] = outcome
         job.done += 1
         self._touch(job)
-
-    async def _execute_run(self, index: int, cfg, key: str, parent=None):
-        """One simulation on the pool; a dead worker becomes a failure."""
-        pool = self._pool
-        assert pool is not None, "scheduler not started"
-        self.registry.counter("service.runs_executed").inc()
-        loop = asyncio.get_running_loop()
-        span = self.spans.start("worker.execute", parent=parent, **{"run.key": key})
-        # propagate ids into the worker process so its in-worker span
-        # parents under this one; skip the pickle round trip when off
-        ctx = (
-            {"trace_id": span.trace_id, "parent_id": span.span_id, "run_key": key}
-            if self.spans.enabled
-            else None
-        )
-        try:
-            outcome, worker_spans = await loop.run_in_executor(
-                pool, _traced_safe_run, index, cfg, ctx
-            )
-            self.spans.ingest(worker_spans)
-            span.end("error" if isinstance(outcome, RunFailure) else "ok")
-            return outcome
-        except BrokenProcessPool as exc:
-            span.end("error", error=f"worker process died: {exc}")
-            self._rebuild_pool(pool)
-            return RunFailure(index, cfg, f"worker process died: {exc}")
-        except Exception as exc:  # pragma: no cover - defensive
-            span.end("error", error=f"{type(exc).__name__}: {exc}")
-            return RunFailure(index, cfg, f"{type(exc).__name__}: {exc}")
-
-    def _rebuild_pool(self, broken: ProcessPoolExecutor) -> None:
-        """Replace a broken pool so subsequent jobs keep executing."""
-        if self._pool is not broken:
-            return  # another waiter already swapped it
-        self.registry.counter("service.pool_rebuilds").inc()
-        broken.shutdown(wait=False, cancel_futures=True)
-        self._pool = ProcessPoolExecutor(max_workers=self.run_workers)

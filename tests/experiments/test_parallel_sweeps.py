@@ -1,16 +1,20 @@
-"""Hardened-executor tests: parallel == serial bit-for-bit, failure
+"""Run-executor tests: parallel == serial bit-for-bit, failure
 placeholders instead of pool-wide crashes, progress reporting."""
 
-from dataclasses import replace
+import multiprocessing
+import os
+import signal
 
 import pytest
 
 from repro.experiments.config import ExperimentConfig, smoke
+from repro.experiments.figures import FigurePlan, figure_from_results
 from repro.experiments.metrics import RunMetrics
+from repro.experiments.store import RunStore
 from repro.experiments.sweeps import (
     RunFailure,
     SweepError,
-    paired_sweep,
+    paired_plan,
     run_configs,
 )
 
@@ -29,17 +33,17 @@ def _make_config_factory():
 
 
 class TestParallelEqualsSerial:
-    def test_paired_sweep_workers_bit_identical(self):
-        profile = smoke()
-        make = _make_config_factory()
-        serial = paired_sweep(profile, [50, 60], make, trials=1, workers=0)
-        parallel = paired_sweep(profile, [50, 60], make, trials=1, workers=2)
+    def test_run_configs_workers_bit_identical(self):
+        plan = paired_plan(smoke(), [50, 60], _make_config_factory(), trials=1)
+        configs = [cfg for _scheme, _x, cfg in plan]
+        serial = run_configs(configs, workers=0)
+        parallel = run_configs(configs, workers=2)
         assert parallel == serial
 
     def test_run_configs_preserves_order(self):
         configs = [_tiny("greedy", 50, seed) for seed in (3, 1, 2)]
         serial = run_configs(configs)
-        parallel = run_configs(configs, workers=2, chunksize=1)
+        parallel = run_configs(configs, workers=2)
         assert [m.seed for m in parallel] == [3, 1, 2]
         assert parallel == serial
 
@@ -90,7 +94,7 @@ class TestFailureIsolation:
         assert results[0] == results[2]
         assert "ValueError" in results[1].error
 
-    def test_paired_sweep_on_error_skip_drops_failed_runs(self, monkeypatch):
+    def test_figure_from_results_skips_failed_runs(self, monkeypatch):
         import repro.experiments.sweeps as sweeps_mod
 
         real_run = sweeps_mod.run_experiment
@@ -103,15 +107,53 @@ class TestFailureIsolation:
             return real_run(cfg)
 
         monkeypatch.setattr(sweeps_mod, "run_experiment", flaky)
-        cells = paired_sweep(
-            smoke(), [50], _make_config_factory(), trials=1, on_error="skip"
-        )
-        assert [c.scheme for c in cells] == ["greedy"]
+        plan = paired_plan(smoke(), [50], _make_config_factory(), trials=1)
+        fplan = FigurePlan("t", "t", "x", tuple(plan))
+        results = run_configs(fplan.configs(), return_failures=True)
+        figure = figure_from_results(fplan, results)
+        assert [c.scheme for c in figure.cells] == ["greedy"]
         assert calls["n"] == 2  # the failure did not abort the sweep
 
-    def test_paired_sweep_on_error_validated(self):
-        with pytest.raises(ValueError):
-            paired_sweep(smoke(), [50], _make_config_factory(), on_error="retry")
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="the kill switch reaches the workers through fork",
+)
+class TestWorkerDeath:
+    def test_dead_worker_fails_only_runs_on_the_pool(self, tmp_path, monkeypatch):
+        """SIGKILL one worker mid-sweep: only the runs handed to the pool
+        at that moment fail, the rebuilt pool completes the rest, and a
+        re-run against the store executes only the failed runs."""
+        import repro.experiments.sweeps as sweeps_mod
+
+        workers = 2
+        configs = [_tiny("greedy", 50, seed) for seed in range(1, 9)]
+        serial = run_configs(configs)
+        real_run = sweeps_mod.run_experiment
+
+        def killing(cfg):
+            if cfg.seed == 2:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real_run(cfg)
+
+        # the forked pool workers inherit the patched module
+        monkeypatch.setattr(sweeps_mod, "run_experiment", killing)
+        store = RunStore(tmp_path)
+        results = run_configs(configs, workers=workers, store=store, return_failures=True)
+        failed = [i for i, r in enumerate(results) if isinstance(r, RunFailure)]
+        assert isinstance(results[1], RunFailure)
+        assert "worker process died" in results[1].error
+        assert len(failed) <= workers + 1
+        assert all(r == serial[i] for i, r in enumerate(results) if i not in failed)
+        assert results[-2:] == serial[-2:]  # dispatched after the rebuild
+        assert store.stats.persisted == len(configs) - len(failed)
+
+        monkeypatch.undo()
+        resumed_store = RunStore(tmp_path)
+        resumed = run_configs(configs, workers=workers, store=resumed_store)
+        assert resumed_store.stats.misses == len(failed)
+        assert resumed_store.stats.persisted == len(failed)
+        assert resumed == serial
 
 
 class TestProgressAndKnobs:
@@ -128,7 +170,6 @@ class TestProgressAndKnobs:
         run_configs(
             [_tiny("greedy", 50, s) for s in (1, 2, 3)],
             workers=2,
-            chunksize=1,
             progress=lambda done, total: seen.append((done, total)),
         )
         assert [d for d, _t in seen] and seen[-1] == (3, 3)

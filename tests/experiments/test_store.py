@@ -235,7 +235,7 @@ class TestSweepIntegration:
     def test_parallel_sweep_persists_and_resumes(self, tmp_path):
         cfgs = [_tiny(seed=s) for s in (1, 2, 3)]
         store = RunStore(tmp_path)
-        parallel = run_configs(cfgs, workers=2, chunksize=1, store=store)
+        parallel = run_configs(cfgs, workers=2, store=store)
         assert store.stats.persisted == 3
         # a fresh handle resumes without running anything
         resumed = RunStore(tmp_path)

@@ -6,7 +6,13 @@ import pytest
 
 from repro.experiments.config import ExperimentConfig, smoke
 from repro.experiments.metrics import RunMetrics
-from repro.experiments.sweeps import CellSummary, cell_seed, paired_sweep, run_configs
+from repro.experiments.sweeps import (
+    CellSummary,
+    cell_seed,
+    paired_plan,
+    run_configs,
+    summarize_paired,
+)
 
 
 def fake_run(scheme="greedy", n=50, seed=1, energy=0.001, delay=0.3, ratio=0.9):
@@ -64,7 +70,8 @@ class TestPairedSweep:
             seen.append(cfg)
             return cfg
 
-        cells = paired_sweep(profile, [50, 60], make, trials=2)
+        plan = paired_plan(profile, [50, 60], make, trials=2)
+        cells = summarize_paired(plan, run_configs([cfg for _s, _x, cfg in plan]))
         # 2 x-values x 2 trials x 2 schemes = 8 configs.
         assert len(seen) == 8
         # Paired: same seed for both schemes within a (x, trial).
@@ -83,7 +90,7 @@ class TestPairedSweep:
 
     def test_trials_must_be_positive(self):
         with pytest.raises(ValueError):
-            paired_sweep(smoke(), [50], lambda s, x, seed: None, trials=0)
+            paired_plan(smoke(), [50], lambda s, x, seed: None, trials=0)
 
 
 class TestRunConfigs:

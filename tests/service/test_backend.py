@@ -31,16 +31,18 @@ class TestLocalDirBackend:
     def test_put_then_get_round_trips(self, tmp_path):
         backend = LocalDirBackend(tmp_path / "store")
         cfg = _cfg()
-        assert backend.get_run(cfg) is None
-        key = backend.put_run(cfg, _metrics(cfg))
-        assert key == run_key(cfg)
-        assert backend.get_run(cfg) == _metrics(cfg)
+        assert backend.get(cfg) is None
+        assert not backend.contains(cfg)
+        path = backend.put(cfg, _metrics(cfg))
+        assert path == backend.store.path_for(run_key(cfg))
+        assert backend.contains(cfg)
+        assert backend.get(cfg) == _metrics(cfg)
         backend.close()
 
     def test_sqlite_index_tracks_puts(self, tmp_path):
         backend = LocalDirBackend(tmp_path / "store")
         for seed in (1, 2, 3):
-            backend.put_run(_cfg(seed), _metrics(_cfg(seed)))
+            backend.put(_cfg(seed), _metrics(_cfg(seed)))
         rows = backend.summaries()
         assert {row["key"] for row in rows} == {run_key(_cfg(s)) for s in (1, 2, 3)}
         assert all(row["scheme"] == "greedy" for row in rows)
@@ -50,15 +52,16 @@ class TestLocalDirBackend:
     def test_put_is_idempotent_in_index(self, tmp_path):
         backend = LocalDirBackend(tmp_path / "store")
         cfg = _cfg()
-        backend.put_run(cfg, _metrics(cfg))
-        backend.put_run(cfg, _metrics(cfg))
+        backend.put(cfg, _metrics(cfg))
+        backend.put(cfg, _metrics(cfg))
         assert len(backend.summaries()) == 1
         backend.close()
 
     def test_entry_carries_identity_and_metrics(self, tmp_path):
         backend = LocalDirBackend(tmp_path / "store")
         cfg = _cfg()
-        key = backend.put_run(cfg, _metrics(cfg))
+        backend.put(cfg, _metrics(cfg))
+        key = run_key(cfg)
         entry = backend.entry(key)
         assert entry is not None
         assert entry["key"] == key
@@ -80,7 +83,8 @@ class TestLocalDirBackend:
     def test_reindex_drops_removed_entries(self, tmp_path):
         backend = LocalDirBackend(tmp_path / "store")
         cfg = _cfg()
-        key = backend.put_run(cfg, _metrics(cfg))
+        backend.put(cfg, _metrics(cfg))
+        key = run_key(cfg)
         backend.store.rm([key])
         assert backend.reindex() == 0
         assert backend.summaries() == []
@@ -89,7 +93,8 @@ class TestLocalDirBackend:
     def test_timeline_pass_through(self, tmp_path):
         backend = LocalDirBackend(tmp_path / "store")
         cfg = _cfg()
-        key = backend.put_run(cfg, _metrics(cfg))
+        backend.put(cfg, _metrics(cfg))
+        key = run_key(cfg)
         assert backend.timeline(key) is None
         backend.store.put_timeline(key, {"t": [0.0, 1.0], "series": {}})
         timeline = backend.timeline(key)

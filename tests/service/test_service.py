@@ -105,6 +105,26 @@ class TestCoalescing:
         assert executed == n_unique
 
 
+class TestStoreAccounting:
+    def test_cold_run_counts_one_store_miss(self, tmp_path):
+        """Regression: a cold run used to count two store misses (one at
+        submission, one at dispatch), so cold-then-warm read a hit ratio
+        of 1/3 instead of 1/2."""
+        n_runs = len(figure_plan("fig5", smoke(), trials=1, xs=[50]).plan)
+
+        def scenario(client, daemon):
+            cold = client.submit(FIG_SPEC)
+            assert client.wait(cold["job"]["id"], timeout=180)["status"] == "done"
+            warm = client.submit(FIG_SPEC)
+            assert warm["job"]["from_cache"] is True
+            return daemon.registry.value("store.miss"), client.metrics()["derived"]
+
+        misses, derived = with_daemon(tmp_path / "store", scenario)
+        assert misses == n_runs
+        assert derived["store_lookups"] == 2 * n_runs
+        assert derived["hit_ratio"] == 0.5
+
+
 class TestFailureIsolation:
     def test_failing_run_fails_job_but_daemon_serves(self, tmp_path):
         def scenario(client, daemon):
@@ -145,7 +165,7 @@ class TestFailureIsolation:
             deadline = time.monotonic() + 60
             pool = None
             while time.monotonic() < deadline:
-                pool = daemon.scheduler._pool
+                pool = daemon.scheduler.executor._pool
                 if (
                     client.job(job_id)["status"] == "running"
                     and pool is not None
