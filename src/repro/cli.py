@@ -56,6 +56,7 @@ from .experiments import (
     git_vs_spt_table,
     run_experiment,
 )
+from .obs.options import TRACE_CATEGORIES
 
 __all__ = ["main", "build_parser"]
 
@@ -203,8 +204,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace-categories",
         nargs="+",
         default=["*"],
+        choices=("*", *TRACE_CATEGORIES),
         metavar="CAT",
-        help="categories to trace (default: everything)",
+        help="categories to trace (default: everything; "
+        "list them with `stats --list-categories`)",
     )
     obs_g.add_argument(
         "--manifest", metavar="PATH", help="write the run provenance manifest here"
@@ -756,8 +759,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     from .obs import format_manifest, load_manifest, trace_summary
 
     if args.list_categories:
-        from .obs import TRACE_CATEGORIES
-
         width = max(len(name) for name in TRACE_CATEGORIES)
         for name, description in sorted(TRACE_CATEGORIES.items()):
             print(f"{name:<{width}}  {description}")

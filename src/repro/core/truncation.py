@@ -12,7 +12,8 @@ preserve the initial cost ratios, and covers sources instead: in
 fig 4(b), both H and K fall outside the cover and are truncated.
 
 Both rules are implemented; the experiment ablation
-(`benchmarks/test_ablation_truncation.py`) compares them.
+(`benchmarks/test_ablations.py::test_ablation_truncation_rule`) compares
+them.
 """
 
 from __future__ import annotations

@@ -8,7 +8,7 @@ Two complementary mechanisms persist sweep work:
   JSON for later reporting or cross-profile comparison (EXPERIMENTS.md's
   tables are generated this way); CSV is a convenience export with one
   row per (scheme, sweep value).
-* **The run store** (:mod:`repro.experiments.store`, re-exported here):
+* **The run store** (:mod:`repro.experiments.store`):
   per-run, content-addressed persistence that makes long sweeps
   crash-safe and incremental — each completed
   :class:`~repro.experiments.metrics.RunMetrics` is written atomically
@@ -35,7 +35,6 @@ from ..obs.manifest import (
     save_manifest,
 )
 from .figures import FigureResult
-from .store import RunStore, StoreStats, open_store, run_key
 from .sweeps import CellSummary
 
 __all__ = [
@@ -49,10 +48,6 @@ __all__ = [
     "build_run_manifest",
     "build_figure_manifest",
     "manifest_path_for",
-    "RunStore",
-    "StoreStats",
-    "open_store",
-    "run_key",
 ]
 
 

@@ -28,14 +28,11 @@ Invalidation is by construction: any change to a config field or to the
 package version changes the key, so stale entries are never *read* —
 they merely occupy disk until ``repro-wsn store gc`` prunes them.
 
-The ``<root>/index.json`` file is a human-oriented cache of the entry
-summaries (what ``store ls`` prints).  It is rewritten on every put/rm
-but the payload files are authoritative: lookups never trust the index,
-and :meth:`RunStore.reindex` (or ``store gc``) rebuilds it from the
-directory scan.  Index updates are serialized across processes by an
-advisory ``index.lock`` file (``fcntl.flock``): each writer re-reads and
-merges under the lock, so N concurrent sweep workers plus a ``store gc``
-cannot lose each other's entries.
+The ``runs/`` directory is the only listing: ``store ls``, the
+daemon's ``/api/v1/runs`` and every lookup read the entry files
+themselves, so no second index can go stale.  Concurrent writers need
+no lock: each key's entry is immutable, written by atomic replace, and
+``store gc`` spares temp files younger than :data:`TMP_LITTER_MIN_AGE_S`.
 
 Hit/miss/persist/skip counts are recorded as counters in an
 :class:`~repro.obs.registry.MetricsRegistry` owned by (or passed to) the
@@ -44,21 +41,16 @@ store, and surface in figure manifests via :meth:`RunStore.stats`.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import hashlib
 import json
 import os
+import re
 import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable, Optional, Union
-
-try:  # POSIX advisory locks; absent on some platforms (index stays lossy there)
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX fallback
-    fcntl = None  # type: ignore[assignment]
 
 from ..obs.registry import MetricsRegistry
 from .config import ExperimentConfig
@@ -84,6 +76,9 @@ STORE_VERSION = 4
 #: gc only collects ``*.tmp`` litter older than this — a younger temp
 #: file may belong to a live writer between ``mkstemp`` and ``os.replace``
 TMP_LITTER_MIN_AGE_S = 60.0
+
+#: what ``rm`` accepts: a key or key prefix (never a glob pattern)
+_KEY_PREFIX = re.compile(r"[0-9a-f]+")
 
 
 def canonical_json(obj: Any) -> str:
@@ -149,7 +144,6 @@ class RunStore:
 
         <root>/runs/<sha256>.json        one entry per completed run (atomic)
         <root>/timelines/<sha256>.json   optional probe timeline per run
-        <root>/index.json                cached entry summaries (rebuildable)
 
     A store can be shared by concurrent sweeps: entries are immutable
     functions of their key, temp files are uniquely named, and
@@ -163,8 +157,6 @@ class RunStore:
         self.root = Path(root)
         self.runs_dir = self.root / "runs"
         self.timelines_dir = self.root / "timelines"
-        self.index_path = self.root / "index.json"
-        self.index_lock_path = self.root / "index.lock"
         self.runs_dir.mkdir(parents=True, exist_ok=True)
         self.registry = registry if registry is not None else MetricsRegistry()
         self.stats = StoreStats()
@@ -182,11 +174,9 @@ class RunStore:
         """Return the stored metrics for ``cfg``, or None on a miss.
 
         A corrupt or unreadable entry counts as a miss (the next put
-        overwrites it); only the payload file is consulted, never the
-        index.
+        overwrites it).
         """
-        key = run_key(cfg)
-        entry = self._read_entry(self.path_for(key))
+        entry = self.entry(run_key(cfg))
         if entry is None:
             self.stats.misses += 1
             self.registry.counter("store.miss").inc()
@@ -209,8 +199,11 @@ class RunStore:
         self._atomic_write(path, json.dumps(entry, indent=2, sort_keys=True))
         self.stats.persisted += 1
         self.registry.counter("store.persist").inc()
-        self._index_add(key, entry)
         return path
+
+    def entry(self, key: str) -> Optional[dict[str, Any]]:
+        """The whole stored entry (identity and metrics) for ``key``, or None."""
+        return self._read_entry(self.path_for(key))
 
     def note_skipped(self) -> None:
         """Record an outcome that completed without metrics (a failure)."""
@@ -260,7 +253,7 @@ class RunStore:
     # maintenance: ls / gc / rm
     # ------------------------------------------------------------------
     def ls(self) -> list[dict[str, Any]]:
-        """Entry summaries from a directory scan (authoritative)."""
+        """Entry summaries from a directory scan, in key order."""
         rows = []
         for path in sorted(self.runs_dir.glob("*.json")):
             entry = self._read_entry(path)
@@ -273,10 +266,14 @@ class RunStore:
 
         ``ls`` (and the CLI table) shows truncated keys, so prefixes are
         accepted; a prefix matching several entries deletes nothing for
-        that argument.  Returns how many entries were deleted.
+        that argument, and so does anything but lowercase hex (an empty
+        string or a glob pattern is no key).  Returns how many entries
+        were deleted.
         """
         removed = 0
         for key in keys:
+            if not _KEY_PREFIX.fullmatch(key):
+                continue
             path = self.path_for(key)
             if not path.exists():
                 matches = list(self.runs_dir.glob(f"{key}*.json"))
@@ -288,12 +285,10 @@ class RunStore:
             if sibling.exists():
                 sibling.unlink()
             removed += 1
-        with self._index_lock():
-            self._write_index(self.ls())
         return removed
 
     def gc(self, prune_stale_versions: bool = True) -> dict[str, int]:
-        """Collect garbage and rebuild the index.
+        """Collect garbage.
 
         Removes temp-file litter from killed writers, corrupt entries,
         and (by default) entries written by a different package or store
@@ -301,10 +296,6 @@ class RunStore:
         unreachable by construction.  Timelines are garbage too when
         corrupt, stale, or orphaned (their run entry is gone).
         """
-        with self._index_lock():
-            return self._gc_locked(prune_stale_versions)
-
-    def _gc_locked(self, prune_stale_versions: bool) -> dict[str, int]:
         stats = {
             "tmp_removed": 0,
             "corrupt_removed": 0,
@@ -315,7 +306,6 @@ class RunStore:
         }
         stats["tmp_removed"] += self._sweep_tmp_litter(self.runs_dir)
         current = (STORE_VERSION, _code_version())
-        rows = []
         kept_keys: set[str] = set()
         for path in sorted(self.runs_dir.glob("*.json")):
             entry = self._read_entry(path)
@@ -331,7 +321,6 @@ class RunStore:
                 path.unlink()
                 stats["stale_removed"] += 1
                 continue
-            rows.append(self._summary(entry))
             kept_keys.add(entry.get("key", path.stem))
             stats["kept"] += 1
         if self.timelines_dir.exists():
@@ -342,15 +331,7 @@ class RunStore:
                 else:
                     path.unlink()
                     stats["timelines_removed"] += 1
-        self._write_index(rows)
         return stats
-
-    def reindex(self) -> int:
-        """Rebuild ``index.json`` from the payload files; returns entry count."""
-        with self._index_lock():
-            rows = self.ls()
-            self._write_index(rows)
-        return len(rows)
 
     # ------------------------------------------------------------------
     # internals
@@ -418,47 +399,6 @@ class RunStore:
             except OSError:
                 pass
             raise
-
-    @contextlib.contextmanager
-    def _index_lock(self):
-        """Exclusive cross-process lock over ``index.json`` updates.
-
-        Advisory ``flock`` on a sidecar lock file (never on ``index.json``
-        itself — that file is atomically *replaced*, which would orphan
-        any lock held on the old inode).  On platforms without ``fcntl``
-        the lock degrades to a no-op: the index is only a cache, so the
-        worst case there is a momentarily incomplete ``store ls``.
-        """
-        self.root.mkdir(parents=True, exist_ok=True)
-        with open(self.index_lock_path, "a") as fh:
-            if fcntl is not None:
-                fcntl.flock(fh, fcntl.LOCK_EX)
-            try:
-                yield
-            finally:
-                if fcntl is not None:
-                    fcntl.flock(fh, fcntl.LOCK_UN)
-
-    def _index_add(self, key: str, entry: dict[str, Any]) -> None:
-        # Read-merge-write under the cross-process lock: concurrent
-        # writers serialize here, and each re-reads the latest index
-        # inside its critical section, so no writer can clobber another
-        # writer's freshly added entries.
-        with self._index_lock():
-            index = self._read_index()
-            index[key] = self._summary(entry)
-            self._write_index(list(index.values()))
-
-    def _read_index(self) -> dict[str, dict[str, Any]]:
-        try:
-            rows = json.loads(self.index_path.read_text()).get("entries", [])
-        except (OSError, json.JSONDecodeError):
-            return {}
-        return {row["key"]: row for row in rows if isinstance(row, dict) and "key" in row}
-
-    def _write_index(self, rows: list[dict[str, Any]]) -> None:
-        payload = {"store_version": STORE_VERSION, "entries": rows}
-        self._atomic_write(self.index_path, json.dumps(payload, indent=2, sort_keys=True))
 
 
 def _metrics_from_dict(data: dict[str, Any]) -> RunMetrics:

@@ -176,9 +176,9 @@ class RunExecutor:
     """Store probe → in-flight dedup → process pool → persist on resolve.
 
     ``workers`` pool processes execute the runs (``0``: one at a time in
-    this process).  ``store`` is a :class:`~repro.experiments.store.RunStore`
-    or has its ``get``/``contains``/``put``/``note_skipped`` (the daemon's
-    ``LocalDirBackend``).  ``spans`` records ``dedup``, ``worker.execute``
+    this process).  ``store`` is the :class:`~repro.experiments.store.RunStore`
+    that runs are probed in and persisted to (None: neither), for a CLI
+    sweep and the daemon alike.  ``spans`` records ``dedup``, ``worker.execute``
     (``worker.run`` under it) and ``store.put`` below each run's parent
     span.  ``registry`` counts ``service.pool_rebuilds``.
 
@@ -190,7 +190,7 @@ class RunExecutor:
     def __init__(
         self,
         workers: int = 0,
-        store: Any = None,
+        store: Optional[RunStore] = None,
         spans: Optional[SpanStore] = None,
         registry: Optional[MetricsRegistry] = None,
     ) -> None:

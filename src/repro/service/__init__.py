@@ -9,11 +9,13 @@ progress, and fetch results that are **bit-identical** to an in-process
 :class:`~repro.experiments.sweeps.RunExecutor` that CLI sweeps use and
 reassembles them through the same summarization path.
 
+Runs are kept in a plain :class:`~repro.experiments.store.RunStore`,
+the same directory ``--store`` sweeps read and write.
+``/api/v1/runs`` lists it with the store's own directory scan, so a
+daemon and the ``repro store`` verbs working on one root always agree.
+
 Layering (each module only looks down):
 
-* :mod:`.backend` — :class:`LocalDirBackend`: the content-addressed
-  :class:`~repro.experiments.store.RunStore` plus a sqlite listing
-  index.
 * :mod:`.jobs` — untrusted-JSON request parsing into immutable
   :class:`JobRequest` specs, request-key hashing, the mutable
   :class:`Job` record.
@@ -38,7 +40,6 @@ in-worker spans propagated across the process boundary), and
 ``GET /api/v1/jobs/<id>/trace`` serves the assembled tree.
 """
 
-from .backend import LocalDirBackend
 from .client import ServiceClient, ServiceError
 from .http import ServiceDaemon, build_service
 from .jobs import DEFAULT_PRIORITY, Job, JobRequest, RequestError, parse_request
@@ -48,7 +49,6 @@ from .scheduler import JobScheduler
 from .top import render_top, run_top
 
 __all__ = [
-    "LocalDirBackend",
     "RequestError",
     "JobRequest",
     "Job",

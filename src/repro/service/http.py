@@ -16,7 +16,7 @@ Routes (all under ``/api/v1`` except the operational pair)::
     GET  /api/v1/jobs/<id>/result   results of a finished job
     GET  /api/v1/jobs/<id>/trace    the job's span tree (request tracing)
     GET  /api/v1/trace              recent spans (?limit=&name=&trace=)
-    GET  /api/v1/runs               stored-run summaries (sqlite index)
+    GET  /api/v1/runs               stored-run summaries (directory scan)
     GET  /api/v1/runs/<key>         one stored entry (identity+metrics)
     GET  /api/v1/runs/<key>/timeline  stored probe timeline
     GET  /metrics                   registry snapshot + derived ratios
@@ -42,9 +42,9 @@ import time
 from typing import Any, Optional
 from urllib.parse import parse_qs
 
+from ..experiments.store import RunStore
 from ..obs.registry import MetricsRegistry, summarize_histogram
 from ..obs.spans import DEFAULT_SPAN_CAPACITY, SpanStore, span_tree
-from .backend import LocalDirBackend
 from .jobs import RequestError, parse_request
 from .logs import JsonLogger
 from .scheduler import JobScheduler
@@ -75,17 +75,17 @@ class _HttpError(Exception):
 
 
 class ServiceDaemon:
-    """One listening socket over a backend + scheduler pair."""
+    """One listening socket over a run store + scheduler pair."""
 
     def __init__(
         self,
-        backend: LocalDirBackend,
+        store: RunStore,
         scheduler: JobScheduler,
         host: str = "127.0.0.1",
         port: int = 0,
         sse_keepalive: float = 15.0,
     ) -> None:
-        self.backend = backend
+        self.store = store
         self.scheduler = scheduler
         self.registry = scheduler.registry
         self.spans = scheduler.spans
@@ -112,7 +112,6 @@ class ServiceDaemon:
             await self._server.wait_closed()
             self._server = None
         await self.scheduler.stop()
-        self.backend.close()
 
     async def serve_forever(self) -> None:
         assert self._server is not None, "daemon not started"
@@ -283,16 +282,16 @@ class ServiceDaemon:
                     stream = lambda w: self._stream_events(w, job)  # noqa: E731
                     return "GET /api/v1/jobs/{id}/events", 200, None, stream
             if rest == ["runs"] and method == "GET":
-                return "GET /api/v1/runs", 200, {"runs": self.backend.summaries()}, None
+                return "GET /api/v1/runs", 200, {"runs": self.store.ls()}, None
             if len(rest) >= 2 and rest[0] == "runs" and method == "GET":
                 key = rest[1]
                 if len(rest) == 2:
-                    entry = self.backend.entry(key)
+                    entry = self.store.entry(key)
                     if entry is None:
                         raise _HttpError(404, f"no stored run {key!r}")
                     return "GET /api/v1/runs/{key}", 200, entry, None
                 if rest[2:] == ["timeline"]:
-                    timeline = self.backend.timeline(key)
+                    timeline = self.store.get_timeline(key)
                     if timeline is None:
                         raise _HttpError(404, f"no stored timeline for {key!r}")
                     return "GET /api/v1/runs/{key}/timeline", 200, timeline, None
@@ -386,7 +385,11 @@ class ServiceDaemon:
             "latency": latency,
             "job_wall": summarize_histogram(job_wall) if job_wall else None,
             "spans": self.spans.stats(),
-            "backend": self.backend.stats(),
+            "backend": {
+                # counted, not parsed: /metrics stays cheap on a large store
+                "entries": sum(1 for _ in self.store.runs_dir.glob("*.json")),
+                **self.store.stats.as_dict(),
+            },
             "registry": snapshot,
         }
 
@@ -442,16 +445,14 @@ def build_service(
     span_capacity: int = DEFAULT_SPAN_CAPACITY,
     log_json: bool = False,
 ) -> ServiceDaemon:
-    """Wire backend + scheduler + daemon over one store directory.
+    """Wire run store + scheduler + daemon over one store directory.
 
     Request tracing is on by default (``spans=False`` or
     ``span_capacity=0`` disables retention without touching the serving
     path); ``log_json`` turns on structured JSON logs on stderr.
     """
-    backend = LocalDirBackend(store_root, registry=registry)
-    span_store = SpanStore(span_capacity if spans else 0, registry=backend.registry)
+    store = RunStore(store_root, registry=registry)
+    span_store = SpanStore(span_capacity if spans else 0, registry=store.registry)
     log = JsonLogger(enabled=log_json)
-    scheduler = JobScheduler(
-        backend, run_workers=run_workers, spans=span_store, log=log
-    )
-    return ServiceDaemon(backend, scheduler, host=host, port=port)
+    scheduler = JobScheduler(store, run_workers=run_workers, spans=span_store, log=log)
+    return ServiceDaemon(store, scheduler, host=host, port=port)

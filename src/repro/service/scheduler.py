@@ -28,10 +28,10 @@ import itertools
 import time
 from typing import Optional
 
+from ..experiments.store import RunStore
 from ..experiments.sweeps import RunExecutor, RunFailure
 from ..obs.registry import MetricsRegistry
 from ..obs.spans import SpanStore
-from .backend import LocalDirBackend
 from .jobs import Job, JobRequest
 from .logs import JsonLogger
 
@@ -47,14 +47,14 @@ class JobScheduler:
 
     def __init__(
         self,
-        backend: LocalDirBackend,
+        store: RunStore,
         run_workers: int = 2,
         job_workers: Optional[int] = None,
         registry: Optional[MetricsRegistry] = None,
         spans: Optional[SpanStore] = None,
         log: Optional[JsonLogger] = None,
     ) -> None:
-        self.registry = registry if registry is not None else backend.registry
+        self.registry = registry if registry is not None else store.registry
         #: span sink — on by default (bounded ring); SpanStore(0) disables
         self.spans = spans if spans is not None else SpanStore(registry=self.registry)
         self.log = log if log is not None else JsonLogger(enabled=False)
@@ -69,7 +69,7 @@ class JobScheduler:
         #: queued/running jobs by request key (job-level coalescing)
         self._active: dict[str, Job] = {}
         self.executor = RunExecutor(
-            self.run_workers, backend, spans=self.spans, registry=self.registry
+            self.run_workers, store, spans=self.spans, registry=self.registry
         )
         self._tasks: list[asyncio.Task] = []
         self._wakeup: Optional[asyncio.Event] = None

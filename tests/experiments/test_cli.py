@@ -25,6 +25,15 @@ class TestParser:
         args = build_parser().parse_args(["trees", "--nodes", "100", "200"])
         assert args.nodes == [100, 200]
 
+    def test_unknown_trace_category_is_a_usage_error(self, tmp_path, capsys):
+        # rejected before the run starts, so no half-written trace is left
+        trace = tmp_path / "t.jsonl"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "--trace-out", str(trace), "--trace-categories", "phy.txx"])
+        assert excinfo.value.code == 2
+        assert "phy.txx" in capsys.readouterr().err
+        assert not trace.exists()
+
 
 class TestExecution:
     def test_run_command(self, capsys):

@@ -134,14 +134,37 @@ class TestMaintenance:
         assert {row["seed"] for row in rows} == {1, 2, 3}
         assert all(len(row["key"]) == 64 for row in rows)
 
-    def test_index_tracks_puts_and_is_rebuildable(self, tmp_path):
+    def test_repeated_put_is_listed_once(self, tmp_path):
         store = RunStore(tmp_path)
         cfg = _tiny()
         store.put(cfg, _metrics(cfg))
-        index = json.loads(store.index_path.read_text())
-        assert [row["key"] for row in index["entries"]] == [run_key(cfg)]
-        store.index_path.unlink()
-        assert RunStore(tmp_path).reindex() == 1
+        store.put(cfg, _metrics(cfg))
+        assert [row["key"] for row in store.ls()] == [run_key(cfg)]
+
+    def test_entry_carries_identity_and_metrics(self, tmp_path):
+        store = RunStore(tmp_path)
+        cfg = _tiny()
+        store.put(cfg, _metrics(cfg))
+        key = run_key(cfg)
+        entry = store.entry(key)
+        assert entry is not None
+        assert entry["key"] == key
+        assert entry["identity"]["config"]["seed"] == cfg.seed
+        assert entry["metrics"]["delivery_ratio"] == 0.875
+        assert store.entry("0" * 64) is None
+
+    def test_root_holds_only_entry_directories(self, tmp_path):
+        # the runs/ scan is the only listing: no index file beside it
+        store = RunStore(tmp_path)
+        cfgs = [_tiny(seed=s) for s in (1, 2)]
+        for cfg in cfgs:
+            store.put(cfg, _metrics(cfg))
+        store.rm([run_key(cfgs[0])])
+        store.gc()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["runs"]
+        store.put_timeline(cfgs[1], {"t": [0.0], "series": {}})
+        store.gc()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["runs", "timelines"]
 
     def test_rm_removes_keys(self, tmp_path):
         store = RunStore(tmp_path)
@@ -158,13 +181,23 @@ class TestMaintenance:
         assert store.rm([run_key(cfg)[:16]]) == 1
         assert not store.contains(cfg)
 
+    @pytest.mark.parametrize("pattern", ["", "[0-9a-f]", "*"])
+    def test_rm_ignores_non_key_patterns(self, tmp_path, pattern):
+        # keys are hex, never glob patterns: these match no entry
+        store = RunStore(tmp_path)
+        cfg = _tiny()
+        store.put(cfg, _metrics(cfg))
+        assert store.rm([pattern]) == 0
+        assert store.contains(cfg)
+
     def test_rm_skips_ambiguous_prefix(self, tmp_path):
         store = RunStore(tmp_path)
         cfg = _tiny()
         path = store.put(cfg, _metrics(cfg))
-        # a second entry sharing the empty prefix makes "" ambiguous
-        (store.runs_dir / "0000fake.json").write_text(path.read_text())
-        assert store.rm([""]) == 0
+        # a second entry sharing an 8-digit prefix makes that prefix ambiguous
+        prefix = run_key(cfg)[:8]
+        (store.runs_dir / f"{prefix}fake.json").write_text(path.read_text())
+        assert store.rm([prefix]) == 0
         assert store.contains(cfg)
 
     def test_gc_prunes_litter_corruption_and_stale_versions(self, tmp_path):

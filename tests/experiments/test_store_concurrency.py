@@ -1,25 +1,17 @@
-"""Cross-process RunStore index safety.
+"""Cross-process RunStore safety without a lock.
 
-Regression for the lost-update race: ``index.json`` used to be a bare
-read-modify-write, so two concurrent writers (N service workers, or a
-sweep running beside ``store gc``) could each read the same snapshot and
-clobber the other's freshly added entries.  Updates now serialize on the
-``index.lock`` advisory lock and re-merge inside the critical section.
+The ``runs/`` directory is the store's only index.  Two writers (N
+service workers, or a sweep running beside ``store gc``) never touch a
+shared file: each entry is written to a unique temp file and renamed
+into place, and gc spares young temp files.  So every entry either
+writer put must be listed afterwards.
 """
 
-import json
 import multiprocessing
-import sys
-
-import pytest
 
 from repro.experiments.config import ExperimentConfig, smoke
 from repro.experiments.metrics import RunMetrics
 from repro.experiments.store import RunStore, run_key
-
-pytestmark = pytest.mark.skipif(
-    sys.platform == "win32", reason="fcntl advisory locks are POSIX-only"
-)
 
 
 def _cfg(seed: int) -> ExperimentConfig:
@@ -58,14 +50,9 @@ def _gc_loop(root: str, barrier, rounds: int) -> None:
         store.gc()
 
 
-def _index_keys(store: RunStore) -> set:
-    data = json.loads(store.index_path.read_text())
-    return {row["key"] for row in data["entries"]}
-
-
 class TestConcurrentIndexWriters:
     def test_two_writers_lose_no_entries(self, tmp_path):
-        """Two processes putting disjoint entries -> index has all of them."""
+        """Two processes putting disjoint entries -> ls lists all of them."""
         root = tmp_path / "store"
         n_each = 25
         seeds_a = list(range(1, n_each + 1))
@@ -81,16 +68,12 @@ class TestConcurrentIndexWriters:
         for p in procs:
             p.join(timeout=120)
             assert p.exitcode == 0
-        store = RunStore(root)
         expected = {run_key(_cfg(s)) for s in seeds_a + seeds_b}
         assert len(expected) == 2 * n_each
-        # the payload files are authoritative and atomic — always complete
-        assert {row["key"] for row in store.ls()} == expected
-        # the regression: the index cache must not have lost any entry
-        assert _index_keys(store) == expected
+        assert {row["key"] for row in RunStore(root).ls()} == expected
 
     def test_writer_concurrent_with_gc_keeps_all_entries(self, tmp_path):
-        """A writer racing `store gc` ends with every entry indexed."""
+        """A writer racing `store gc` ends with every entry listed."""
         root = tmp_path / "store"
         seeds = list(range(1, 21))
         ctx = multiprocessing.get_context("fork")
@@ -102,7 +85,5 @@ class TestConcurrentIndexWriters:
         for p in (writer, sweeper):
             p.join(timeout=120)
             assert p.exitcode == 0
-        store = RunStore(root)
         expected = {run_key(_cfg(s)) for s in seeds}
-        assert {row["key"] for row in store.ls()} == expected
-        assert _index_keys(store) >= expected
+        assert {row["key"] for row in RunStore(root).ls()} == expected

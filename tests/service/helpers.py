@@ -9,7 +9,8 @@ re-raised on the test thread.
 import asyncio
 import threading
 
-from repro.service import JobScheduler, LocalDirBackend, ServiceDaemon
+from repro.experiments.store import RunStore
+from repro.service import JobScheduler, ServiceDaemon
 from repro.service.client import ServiceClient
 
 
@@ -31,16 +32,16 @@ def with_daemon(
     box = {}
 
     async def main():
-        backend = LocalDirBackend(store_root)
+        store = RunStore(store_root)
         scheduler = JobScheduler(
-            backend,
+            store,
             run_workers=run_workers,
             job_workers=job_workers,
             spans=spans,
             log=log,
         )
         daemon = ServiceDaemon(
-            backend, scheduler, host="127.0.0.1", port=0, sse_keepalive=sse_keepalive
+            store, scheduler, host="127.0.0.1", port=0, sse_keepalive=sse_keepalive
         )
         await daemon.start()
         errors = []

@@ -12,7 +12,9 @@ import pytest
 
 from repro.experiments.config import ExperimentConfig, smoke
 from repro.experiments.figures import figure_plan, run_figure_plan
+from repro.experiments.metrics import RunMetrics
 from repro.experiments.persistence import figure_payload
+from repro.experiments.store import RunStore, run_key
 from repro.service.client import ServiceError
 
 from .helpers import with_daemon
@@ -123,6 +125,57 @@ class TestStoreAccounting:
         assert misses == n_runs
         assert derived["store_lookups"] == 2 * n_runs
         assert derived["hit_ratio"] == 0.5
+
+
+class TestRunListing:
+    def test_listing_follows_store_changes_between_sessions(self, tmp_path):
+        """Regression: the daemon used to list runs from its own sqlite
+        index, so after a restart it still listed a run that another
+        process deleted and missed one that another process stored."""
+        root = tmp_path / "store"
+        cfg_a, cfg_b = (
+            ExperimentConfig.from_profile(
+                smoke(), "greedy", 50, seed=seed, duration=8.0, warmup=3.0
+            )
+            for seed in (1, 2)
+        )
+
+        def store_a(client, daemon):
+            job = client.submit({"kind": "run", "config": dataclasses.asdict(cfg_a)})
+            assert client.wait(job["job"]["id"], timeout=180)["status"] == "done"
+
+        with_daemon(root, store_a, run_workers=1)
+        store = RunStore(root)
+        store.put(
+            cfg_b,
+            RunMetrics(
+                scheme=cfg_b.scheme,
+                n_nodes=cfg_b.n_nodes,
+                seed=cfg_b.seed,
+                avg_dissipated_energy=1e-4,
+                avg_delay=0.1,
+                delivery_ratio=0.9,
+                total_energy_j=0.5,
+                distinct_delivered=7,
+                events_sent=8,
+                mean_degree=4.2,
+            ),
+        )
+        store.put_timeline(cfg_b, {"t": [0.0], "series": {}})
+        assert store.rm([run_key(cfg_a)]) == 1
+
+        def listing(client, daemon):
+            # the entry and timeline routes read the same files the listing scans
+            assert client.run(run_key(cfg_b))["key"] == run_key(cfg_b)
+            assert client.run_timeline(run_key(cfg_b))["key"] == run_key(cfg_b)
+            with pytest.raises(ServiceError) as excinfo:
+                client.run(run_key(cfg_a))
+            assert excinfo.value.code == 404
+            return client.runs(), client.metrics()["backend"]
+
+        runs, backend = with_daemon(root, listing, run_workers=1)
+        assert [row["key"] for row in runs] == [run_key(cfg_b)]
+        assert backend["entries"] == 1
 
 
 class TestFailureIsolation:
