@@ -61,7 +61,6 @@ from .net import EnergyParams, MacParams, Node, RadioParams, SensorField, genera
 from .obs import (
     MetricsRegistry,
     ObsOptions,
-    ProfileReport,
     Profiler,
     TraceWriter,
     format_profile,
@@ -82,7 +81,6 @@ __all__ = [
     "MetricsRegistry",
     "ObsOptions",
     "Profiler",
-    "ProfileReport",
     "TraceWriter",
     "read_trace",
     "format_profile",

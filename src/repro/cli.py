@@ -193,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     obs_g.add_argument(
         "--profile",
         action="store_true",
-        help="profile the event loop (events/sec, heap depth, hot callbacks)",
+        help="report exclusive wall time per layer, events/sec and heap depth",
     )
     obs_g.add_argument(
         "--trace-out",
@@ -958,7 +958,7 @@ def _load_timeline_target(args: argparse.Namespace):
 def _cmd_timeline(args: argparse.Namespace) -> int:
     import json
 
-    from .obs import format_timeline, timeline_to_chrome_trace
+    from .obs import format_timeline, write_chrome_trace
 
     try:
         timeline, source = _load_timeline_target(args)
@@ -966,7 +966,7 @@ def _cmd_timeline(args: argparse.Namespace) -> int:
         print(f"timeline: {exc}", file=sys.stderr)
         return 2
     if args.chrome_trace:
-        out = timeline_to_chrome_trace(timeline, args.chrome_trace)
+        out = write_chrome_trace(args.chrome_trace, timeline=timeline)
         print(f"chrome trace written: {out}", file=sys.stderr)
     if args.json:
         print(json.dumps(timeline.as_dict(), sort_keys=True))
@@ -1215,13 +1215,13 @@ def _cmd_client(args: argparse.Namespace) -> int:
         if args.client_command == "trace":
             payload = client.trace(args.job_id)
             if args.chrome_trace:
-                from .obs.export import spans_to_chrome_trace
+                from .obs.export import write_chrome_trace
 
                 timeline = None
                 if args.timeline_key:
                     timeline = client.run_timeline(args.timeline_key)
-                out = spans_to_chrome_trace(
-                    payload["spans"], args.chrome_trace, timeline=timeline
+                out = write_chrome_trace(
+                    args.chrome_trace, spans=payload["spans"], timeline=timeline
                 )
                 print(json.dumps(payload, indent=2, sort_keys=True))
                 print(f"chrome trace written: {out}")

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import random
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -43,7 +44,6 @@ from ..net.topology import (
 from ..obs import (
     MetricsRegistry,
     ObsOptions,
-    ProfileReport,
     Profiler,
     Timeline,
     TraceWriter,
@@ -262,7 +262,9 @@ class ObservedRun:
 
     metrics: RunMetrics
     wall_time_s: float
-    profile: Optional[ProfileReport] = None
+    #: :meth:`~repro.obs.profiler.Profiler.report` dict when run with
+    #: ``obs.profile=True`` (None otherwise)
+    profile: Optional[dict] = None
     manifest: Optional[dict] = None
     manifest_path: Optional[Path] = None
     trace_path: Optional[Path] = None
@@ -332,7 +334,6 @@ def run_observed(
     world = build_world(cfg, obs, field_cache=field_cache)
     sim, tracer = world.sim, world.tracer
 
-    profiler: Optional[Profiler] = None
     writer: Optional[TraceWriter] = None
     auditor = None
     timeline: Optional[Timeline] = None
@@ -381,8 +382,6 @@ def run_observed(
                 cfg.duration,
                 before_sample=lambda: publish_sim_gauges(tracer.registry, sim),
             )
-        if obs.profile:
-            profiler = Profiler(obs.profile_sample_interval).attach(sim)
 
     snapshots: list[tuple[float, float]] = []
     class_snapshots: list[dict[str, tuple[float, float]]] = []
@@ -392,12 +391,12 @@ def run_observed(
         class_snapshots.extend(n.energy.class_times() for n in world.nodes)
 
     sim.schedule(cfg.warmup, take_snapshot)
+    profiler = Profiler(sim) if obs is not None and obs.profile else None
     t0 = time.perf_counter()
     try:
-        sim.run(until=cfg.duration)
+        with profiler or nullcontext():
+            sim.run(until=cfg.duration)
     finally:
-        if profiler is not None:
-            profiler.detach()
         if timeline is not None:
             # guaranteed closing sample at the horizon (sim.now == duration)
             timeline.finalize(sim.now)

@@ -4,8 +4,9 @@ run provenance.
 Layered under :mod:`repro.sim` (the tracer's counters are registry
 instruments) and consumed by :mod:`repro.experiments` (the runner wires
 profiling / export / manifests per :class:`ObsOptions`).  Everything
-here is opt-in beyond the always-on counter registry; a run with
-observability disabled pays one branch per simulator event.
+here is opt-in beyond the always-on counter registry.  The simulator's
+event loop has no observability hook, so a run with observability
+disabled pays nothing for it per event.
 """
 
 from .audit import (
@@ -26,10 +27,9 @@ from .export import (
     chrome_trace_to_timeline,
     iter_trace_lines,
     read_trace,
-    spans_to_chrome_trace,
     timeline_from_trace_jsonl,
-    timeline_to_chrome_trace,
     trace_summary,
+    write_chrome_trace,
 )
 from .lineage import DeliveryTree, Hop, LineageIndex, format_tree
 from .manifest import (
@@ -46,7 +46,7 @@ from .options import (
     ObsOptions,
     known_categories,
 )
-from .profiler import CallbackStats, ProfileReport, Profiler, format_profile
+from .profiler import Profiler, format_profile
 from .timeline import (
     TIMELINE_VERSION,
     Timeline,
@@ -99,8 +99,6 @@ __all__ = [
     "new_trace_id",
     "new_span_id",
     "Profiler",
-    "ProfileReport",
-    "CallbackStats",
     "format_profile",
     "TraceWriter",
     "read_trace",
@@ -143,8 +141,7 @@ __all__ = [
     "load_timeline",
     "sparkline",
     "format_timeline",
-    "timeline_to_chrome_trace",
+    "write_chrome_trace",
     "chrome_trace_to_timeline",
     "timeline_from_trace_jsonl",
-    "spans_to_chrome_trace",
 ]

@@ -33,10 +33,9 @@ __all__ = [
     "iter_trace_lines",
     "trace_summary",
     "TRACE_VERSION",
-    "timeline_to_chrome_trace",
+    "write_chrome_trace",
     "chrome_trace_to_timeline",
     "timeline_from_trace_jsonl",
-    "spans_to_chrome_trace",
 ]
 
 TRACE_VERSION = 1
@@ -126,63 +125,101 @@ def read_trace(
         yield TraceRecord(obj["t"], obj["cat"], tuple(obj["fields"].items()))
 
 
-def timeline_to_chrome_trace(timeline, path: Union[str, Path]) -> Path:
-    """Export a timeline as Chrome-trace counter tracks (Perfetto-loadable).
+def write_chrome_trace(path: Union[str, Path], *, spans=None, timeline=None) -> Path:
+    """Write spans and/or a probe timeline as one Chrome trace (Perfetto-loadable).
 
-    Each probe becomes one ``"ph": "C"`` counter series (timestamps in
-    microseconds, as the format requires).  The exact sample times and
-    probe metadata ride along under ``otherData.timeline`` so
-    :func:`chrome_trace_to_timeline` round-trips losslessly — the counter
-    events themselves are for the viewers.
+    ``spans`` (span objects or their payload dicts) become ``"ph": "X"``
+    complete events, with timestamps rebased to the earliest span start
+    so the view opens at t=0.  Spans of one trace share a ``tid``, which
+    a ``thread_name`` event names once, so every request renders as its
+    own track with parent/child nesting as stacked slices.  Ids, status
+    and attributes ride in ``args``; the raw payloads are kept under
+    ``otherData.spans`` so nothing is lost to the viewer format.
+
+    ``timeline`` (a :class:`~repro.obs.timeline.Timeline` or its dict
+    form) becomes one ``"ph": "C"`` counter series per probe (timestamps
+    in microseconds, as the format requires).  The exact sample times and
+    probe metadata ride along under ``otherData.timeline``, so
+    :func:`chrome_trace_to_timeline` round-trips the timeline losslessly.
     """
     from .timeline import TIMELINE_VERSION  # local: avoids import cycles at package init
 
-    data = timeline.as_dict() if hasattr(timeline, "as_dict") else dict(timeline)
-    times = data.get("times", [])
+    process = "repro service" if spans is not None else "repro-wsn run"
     events: list[dict[str, Any]] = [
-        {
-            "name": "process_name",
-            "ph": "M",
-            "pid": 1,
-            "args": {"name": "repro-wsn run"},
-        }
+        {"name": "process_name", "ph": "M", "pid": 1, "args": {"name": process}}
     ]
-    for probe in data.get("probes", ()):
-        name = probe["name"]
-        for t, v in zip(times, probe["values"]):
+    other: dict[str, Any] = {}
+    if spans is not None:
+        spans = [s.as_dict() if hasattr(s, "as_dict") else dict(s) for s in spans]
+        t0 = min((s["start_s"] for s in spans), default=0.0)
+        tids: dict[str, int] = {}
+        for span in sorted(spans, key=lambda s: (s["trace_id"], s["start_s"])):
+            trace_id = span["trace_id"]
+            if trace_id not in tids:
+                tids[trace_id] = len(tids) + 1
+                events.append(
+                    {
+                        "name": "thread_name",
+                        "ph": "M",
+                        "pid": 1,
+                        "tid": tids[trace_id],
+                        "args": {"name": f"trace {trace_id}"},
+                    }
+                )
             events.append(
                 {
-                    "ph": "C",
-                    "name": name,
+                    "ph": "X",
+                    "name": span["name"],
+                    "cat": "span",
                     "pid": 1,
-                    "tid": 0,
-                    "ts": t * 1e6,
-                    "args": {"value": v},
+                    "tid": tids[trace_id],
+                    "ts": (span["start_s"] - t0) * 1e6,
+                    "dur": max(span.get("duration_s", 0.0), 0.0) * 1e6,
+                    "args": {
+                        "trace_id": trace_id,
+                        "span_id": span["span_id"],
+                        "parent_id": span.get("parent_id"),
+                        "status": span.get("status", "ok"),
+                        **span.get("attributes", {}),
+                    },
                 }
             )
-    payload = {
-        "traceEvents": events,
-        "displayTimeUnit": "ms",
-        "otherData": {
-            "timeline": {
-                "timeline_version": data.get("timeline_version", TIMELINE_VERSION),
-                "interval": data.get("interval"),
-                "duration": data.get("duration"),
-                "times": list(times),
-                "probes": [
+        other["spans"] = spans
+        other["span_epoch_s"] = t0
+    if timeline is not None:
+        data = timeline.as_dict() if hasattr(timeline, "as_dict") else dict(timeline)
+        times = data.get("times", [])
+        probes = data.get("probes", ())
+        for probe in probes:
+            for t, v in zip(times, probe["values"]):
+                events.append(
                     {
-                        "name": p["name"],
-                        "kind": p.get("kind", "float"),
-                        "description": p.get("description", ""),
+                        "ph": "C",
+                        "name": probe["name"],
+                        "pid": 1,
+                        "tid": 0,
+                        "ts": t * 1e6,
+                        "args": {"value": v},
                     }
-                    for p in data.get("probes", ())
-                ],
-            }
-        },
-    }
+                )
+        other["timeline"] = {
+            "timeline_version": data.get("timeline_version", TIMELINE_VERSION),
+            "interval": data.get("interval"),
+            "duration": data.get("duration"),
+            "times": list(times),
+            "probes": [
+                {
+                    "name": p["name"],
+                    "kind": p.get("kind", "float"),
+                    "description": p.get("description", ""),
+                }
+                for p in probes
+            ],
+        }
+    payload = {"traceEvents": events, "displayTimeUnit": "ms", "otherData": other}
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, sort_keys=True))
+    path.write_text(json.dumps(payload, sort_keys=True, default=str))
     return path
 
 
@@ -192,6 +229,8 @@ def chrome_trace_to_timeline(path: Union[str, Path]):
     Prefers the lossless ``otherData.timeline`` block our exporter writes;
     counter events supply the values either way, so traces trimmed by
     other tools still load (with float-microsecond time precision).
+    Raises ``ValueError`` for a trace with neither, such as a spans-only
+    export: it holds no timeline.
     """
     from .timeline import TIMELINE_VERSION, Timeline
 
@@ -210,10 +249,10 @@ def chrome_trace_to_timeline(path: Union[str, Path]):
         values.append(ev.get("args", {}).get("value"))
         if len(times_seen) < len(values):
             times_seen.append(ev.get("ts", 0.0) / 1e6)
+    if not series and not meta:
+        raise ValueError(f"{path}: no timeline in this Chrome trace (no counter tracks)")
 
-    kinds = {p["name"]: p.get("kind", "float") for p in meta.get("probes", ())}
-    descriptions = {p["name"]: p.get("description", "") for p in meta.get("probes", ())}
-    ordered = [p["name"] for p in meta.get("probes", ())] or list(series)
+    probes = meta.get("probes") or [{"name": name} for name in series]
     return Timeline.from_dict(
         {
             "timeline_version": meta.get("timeline_version", TIMELINE_VERSION),
@@ -222,93 +261,15 @@ def chrome_trace_to_timeline(path: Union[str, Path]):
             "times": meta.get("times") or times_seen,
             "probes": [
                 {
-                    "name": name,
-                    "kind": kinds.get(name, "float"),
-                    "description": descriptions.get(name, ""),
-                    "values": series.get(name, []),
+                    "name": p["name"],
+                    "kind": p.get("kind", "float"),
+                    "description": p.get("description", ""),
+                    "values": series.get(p["name"], []),
                 }
-                for name in ordered
+                for p in probes
             ],
         }
     )
-
-
-def spans_to_chrome_trace(
-    spans, path: Union[str, Path], timeline=None
-) -> Path:
-    """Export span payloads as Chrome complete events (Perfetto-loadable).
-
-    Each span becomes one ``"ph": "X"`` event; timestamps are rebased to
-    the earliest span start so the view opens at t=0.  Spans of one trace
-    share a ``tid``, so every request renders as its own track and the
-    parent/child nesting is visible as stacked slices.  Ids, status, and
-    attributes ride in ``args``; the raw span payloads are preserved
-    under ``otherData.spans`` so nothing is lost to the viewer format.
-
-    Pass ``timeline`` (a :class:`~repro.obs.timeline.Timeline` or its
-    dict form) to merge a run's counter tracks into the same file — one
-    Perfetto view holding service spans *and* in-sim probe series.
-    """
-    spans = [s.as_dict() if hasattr(s, "as_dict") else dict(s) for s in spans]
-    t0 = min((s["start_s"] for s in spans), default=0.0)
-    events: list[dict[str, Any]] = [
-        {"name": "process_name", "ph": "M", "pid": 1, "args": {"name": "repro service"}}
-    ]
-    tids: dict[str, int] = {}
-    for span in sorted(spans, key=lambda s: (s["trace_id"], s["start_s"])):
-        tid = tids.setdefault(span["trace_id"], len(tids) + 1)
-        if tid == len(tids):  # first span of this trace: name its track
-            events.append(
-                {
-                    "name": "thread_name",
-                    "ph": "M",
-                    "pid": 1,
-                    "tid": tid,
-                    "args": {"name": f"trace {span['trace_id']}"},
-                }
-            )
-        events.append(
-            {
-                "ph": "X",
-                "name": span["name"],
-                "cat": "span",
-                "pid": 1,
-                "tid": tid,
-                "ts": (span["start_s"] - t0) * 1e6,
-                "dur": max(span.get("duration_s", 0.0), 0.0) * 1e6,
-                "args": {
-                    "trace_id": span["trace_id"],
-                    "span_id": span["span_id"],
-                    "parent_id": span.get("parent_id"),
-                    "status": span.get("status", "ok"),
-                    **span.get("attributes", {}),
-                },
-            }
-        )
-    payload: dict[str, Any] = {
-        "traceEvents": events,
-        "displayTimeUnit": "ms",
-        "otherData": {"spans": spans, "span_epoch_s": t0},
-    }
-    if timeline is not None:
-        data = timeline.as_dict() if hasattr(timeline, "as_dict") else dict(timeline)
-        for probe in data.get("probes", ()):
-            for t, v in zip(data.get("times", []), probe["values"]):
-                payload["traceEvents"].append(
-                    {
-                        "ph": "C",
-                        "name": probe["name"],
-                        "pid": 1,
-                        "tid": 0,
-                        "ts": t * 1e6,
-                        "args": {"value": v},
-                    }
-                )
-        payload["otherData"]["timeline"] = data
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, sort_keys=True, default=str))
-    return path
 
 
 def timeline_from_trace_jsonl(path: Union[str, Path]):

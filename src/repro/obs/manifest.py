@@ -30,7 +30,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..experiments.figures import FigureResult
     from ..experiments.metrics import RunMetrics
     from ..sim.engine import Simulator
-    from .profiler import ProfileReport
     from .registry import MetricsRegistry
 
 __all__ = [
@@ -68,7 +67,7 @@ def build_run_manifest(
     wall_time_s: float,
     sim: Optional["Simulator"] = None,
     registry: Optional["MetricsRegistry"] = None,
-    profile_report: Optional["ProfileReport"] = None,
+    profile_report: Optional[dict[str, Any]] = None,
     trace_path: Optional[Union[str, Path]] = None,
     field_info: Optional[dict[str, Any]] = None,
     audit: Optional[dict[str, Any]] = None,
@@ -107,7 +106,7 @@ def build_run_manifest(
     if registry is not None:
         manifest["metrics_snapshot"] = registry.snapshot()
     if profile_report is not None:
-        manifest["profile"] = profile_report.as_dict()
+        manifest["profile"] = dict(profile_report)
     if trace_path is not None:
         manifest["trace_path"] = str(trace_path)
     if audit is not None:
@@ -256,11 +255,15 @@ def format_manifest(data: dict[str, Any], top_counters: int = 12) -> str:
             lines += [f"  {k:<{width}}  {v}" for k, v in ranked]
         if "profile" in data:
             prof = data["profile"]
+            layers = prof.get("layers") or {}
+            top = ", ".join(
+                f"{layer} {layers[layer]['share']:.1%}"
+                for layer in sorted(layers, key=lambda k: -layers[k]["share"])[:4]
+            )
             lines.append("")
             lines.append(
                 f"profile: {prof.get('events_per_sec', 0.0):,.0f} events/sec, "
-                f"{len(prof.get('callbacks', []))} callsites, "
-                f"heap max {prof.get('heap', {}).get('max')}"
+                f"heap max {prof.get('heap_max')}, top layers {top or '(none)'}"
             )
     elif data.get("kind") == "figure":
         prof = data.get("profile", {})

@@ -73,10 +73,8 @@ class ObsOptions:
     (:mod:`repro.obs.audit`) for the whole run.
     """
 
-    #: attach a Profiler to the simulator and report on it
+    #: sample the run's stack and report exclusive wall time per layer
     profile: bool = False
-    #: heap-depth sampling stride (events per sample)
-    profile_sample_interval: int = 64
     #: stream enabled trace categories to this JSONL file
     trace_path: Optional[Union[str, Path]] = None
     #: categories to enable when tracing ("*" = everything)

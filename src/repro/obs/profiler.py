@@ -1,215 +1,272 @@
-"""Simulator profiling: callback wall-time, heap depth, events/sec.
+"""Layer profiler: where one simulator run spent its wall time.
 
-An opt-in :class:`Profiler` attaches to a
-:class:`~repro.sim.engine.Simulator` and observes every fired event:
+A *layer* is a group of the package's modules (see :data:`LAYER_MODULES`).
+:class:`StackSampler` is a thread that samples the measured thread's
+Python stack about once a millisecond.  Each sample goes to the innermost
+frame whose module belongs to the package; standard-library, numpy and C
+code therefore count toward the package layer that called them.  Frames
+of package modules outside every layer, and samples with no package frame
+at all, go to ``other``.  A sample is weighted by the wall time since the
+previous one: the sampler gets the interpreter lock at once while numpy
+has released it but waits out a switch interval while Python code runs,
+so counting samples alone would over-charge native code.
 
-* **hot-callback table** — wall-time bucketed by callsite (the callback's
-  qualified name, e.g. ``CsmaMac._sense_and_transmit``), with call count,
-  total and max duration.  This is the baseline any event-loop or
-  protocol perf work measures itself against.
-* **heap depth** — sampled every ``sample_interval`` events, so pending
-  event backlog (and leak-shaped growth) is visible.
-* **throughput** — simulated events per wall-clock second, plus the
-  cancelled-entry churn the scheduler absorbed (cancelled timers that
-  still had to transit the heap).
-
-With no profiler attached the simulator pays one ``is None`` branch per
-event; attaching costs two ``perf_counter`` calls per event.
+:class:`Profiler` is that sampler around one ``sim.run``; it also reads
+the pending-event heap depth at every sample.  The simulator has no
+profiling hook, so a profiled run executes the same event loop as an
+unprofiled one and its ``RunMetrics`` are bit-identical.
 """
 
 from __future__ import annotations
 
+import os
+import statistics
+import sys
+import threading
 import time
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Optional
+from collections import Counter
+from typing import TYPE_CHECKING, Any, Optional
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..sim.engine import Simulator
 
-__all__ = ["Profiler", "ProfileReport", "CallbackStats", "format_profile"]
+__all__ = [
+    "LAYER_MODULES",
+    "layer_of_module",
+    "Classifier",
+    "StackSampler",
+    "Profiler",
+    "format_profile",
+]
+
+#: layer -> package-relative module prefixes it owns (longest prefix wins)
+LAYER_MODULES: dict[str, tuple[str, ...]] = {
+    "sim.engine": ("sim",),
+    "net.radio": ("net.radio", "net.channel", "net.packet"),
+    "net.mac": ("net.mac",),
+    "net.energy": ("net.energy",),
+    "net.node": ("net.node",),
+    "net.topology": ("net.topology", "net.fieldcache"),
+    "diffusion": ("diffusion",),
+    "core": ("core",),
+    "aggregation": ("aggregation",),
+    "obs.shims": ("sim.trace", "obs.registry"),
+    "experiments.runner": ("experiments.runner",),
+    "experiments.sweeps": ("experiments.sweeps",),
+    "experiments.store": ("experiments.store",),
+    "service.http": ("service.http",),
+    "service.scheduler": ("service.scheduler", "service.jobs"),
+}
+
+#: seconds between stack samples
+SAMPLE_INTERVAL_S = 0.0005
+#: interpreter switch interval while sampling, so the sampler thread gets
+#: the lock about once a millisecond (the default is 5 ms)
+SWITCH_INTERVAL_S = 0.001
+
+#: the package's source directory (``src/repro``)
+PACKAGE_DIR = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+_PREFIXES = sorted(
+    ((prefix, layer) for layer, prefixes in LAYER_MODULES.items() for prefix in prefixes),
+    key=lambda item: -len(item[0]),
+)
 
 
-@dataclass(frozen=True)
-class CallbackStats:
-    """Aggregated wall-time for one callsite."""
+def layer_of_module(relmod: str) -> str:
+    """Layer of a module named relative to the package (``"net.mac"``)."""
+    for prefix, layer in _PREFIXES:
+        if relmod == prefix or relmod.startswith(prefix + "."):
+            return layer
+    return "other"
 
-    callsite: str
-    calls: int
-    total_s: float
-    max_s: float
+
+class Classifier:
+    """Maps code filenames to layers; ``None`` marks code outside the package.
+
+    ``package_dir`` is the package's source directory (``src/repro``).
+    Everything else -- the standard library, numpy, a caller's own timing
+    wrappers -- is transparent: it is charged to the package frame that
+    called it, or to ``other`` when no package frame is on the stack.
+    """
+
+    def __init__(self, package_dir: str) -> None:
+        self.package_dir = os.path.realpath(package_dir) + os.sep
+        self._cache: dict[str, Optional[str]] = {}
+
+    def layer_of_file(self, filename: str) -> Optional[str]:
+        try:
+            return self._cache[filename]
+        except KeyError:
+            pass
+        path = os.path.realpath(filename) if filename and filename[0] != "<" else filename
+        layer: Optional[str] = None
+        if path.startswith(self.package_dir):
+            rel = path[len(self.package_dir):]
+            rel = rel[: -len(".py")] if rel.endswith(".py") else rel
+            parts = [p for p in rel.split(os.sep) if p and p != "__init__"]
+            layer = layer_of_module(".".join(parts))
+        self._cache[filename] = layer
+        return layer
+
+    def layer_of_frame(self, frame) -> str:
+        """Layer of the innermost package frame on the stack."""
+        while frame is not None:
+            layer = self.layer_of_file(frame.f_code.co_filename)
+            if layer is not None:
+                return layer
+            frame = frame.f_back
+        return "other"
+
+
+class StackSampler:
+    """Samples one thread's stack from a helper thread (a context manager).
+
+    ``counts`` holds samples per layer, ``weights`` the wall seconds they
+    stand for, and ``wall_s`` the sampled interval.  The switch interval
+    is shortened while sampling so the helper thread gets the interpreter
+    lock about once a millisecond; leaving the context restores it and
+    joins the thread, also when the measured code raised.
+    """
+
+    def __init__(
+        self,
+        classifier: Classifier,
+        interval_s: float = SAMPLE_INTERVAL_S,
+        switch_s: float = SWITCH_INTERVAL_S,
+    ) -> None:
+        self.classifier = classifier
+        self.interval_s = interval_s
+        self.switch_s = switch_s
+        self.counts: Counter = Counter()
+        self.weights: Counter = Counter()
+        self.wall_s = 0.0
+        self._stop = threading.Event()
+        self._thread: Optional[threading.Thread] = None
+        self._target = 0
+        self._t0 = 0.0
+        self._old_switch = 0.0
+
+    def __enter__(self) -> "StackSampler":
+        self._target = threading.get_ident()
+        self._stop.clear()
+        self._old_switch = sys.getswitchinterval()
+        sys.setswitchinterval(self.switch_s)
+        self._thread = threading.Thread(target=self._loop, name="layer-sampler", daemon=True)
+        self._t0 = time.perf_counter()
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc: Any) -> None:
+        self.wall_s += time.perf_counter() - self._t0
+        self._stop.set()
+        assert self._thread is not None
+        try:
+            self._thread.join(timeout=10.0)
+        finally:
+            sys.setswitchinterval(self._old_switch)
+        if self._thread.is_alive():
+            raise RuntimeError("layer sampler thread did not stop")
+
+    def _loop(self) -> None:
+        frames = sys._current_frames
+        classify = self.classifier.layer_of_frame
+        target = self._target
+        last = time.perf_counter()
+        while not self._stop.wait(self.interval_s):
+            frame = frames().get(target)
+            now = time.perf_counter()
+            if frame is not None:
+                layer = classify(frame)
+                self.counts[layer] += 1
+                self.weights[layer] += now - last
+                self.on_sample()
+            last = now
+            del frame
+
+    def on_sample(self) -> None:
+        """Called on the sampler thread after every sample; a no-op here."""
 
     @property
-    def mean_us(self) -> float:
-        return 1e6 * self.total_s / self.calls if self.calls else 0.0
+    def samples(self) -> int:
+        return sum(self.counts.values())
+
+    def seconds(self) -> dict[str, float]:
+        """Self time per layer: its share of the sample weight times the wall time."""
+        total = sum(self.weights.values())
+        return {layer: self.wall_s * w / total for layer, w in self.weights.items()}
 
 
-@dataclass(frozen=True)
-class ProfileReport:
-    """Everything the profiler measured over one run."""
+class Profiler(StackSampler):
+    """Layer profile of one simulator run: ``with Profiler(sim): sim.run()``.
 
-    wall_time_s: float
-    events: int
-    events_per_sec: float
-    sim_time_s: float
-    cancelled_churn: int
-    heap_samples: int
-    heap_min: int
-    heap_max: int
-    heap_mean: float
-    callbacks: tuple[CallbackStats, ...] = field(default=())
+    The sampler thread starts on entry and is joined on exit; read
+    :meth:`report` afterwards.  Event counts are taken from construction.
+    """
 
-    def as_dict(self) -> dict[str, Any]:
+    def __init__(self, sim: "Simulator") -> None:
+        super().__init__(Classifier(PACKAGE_DIR))
+        self.sim = sim
+        self.heap_depths: list[int] = []
+        self._events0 = sim.events_processed
+        self._cancelled0 = sim.cancelled_skipped
+
+    def on_sample(self) -> None:
+        # The event loop may be between dropping cancelled entries and
+        # uncounting them, which reads short; clamp that to an empty heap.
+        self.heap_depths.append(max(self.sim.pending_count(), 0))
+
+    def report(self) -> dict[str, Any]:
+        """The run's profile, as the run manifest's ``profile`` block holds it.
+
+        ``layers`` maps each layer that received a sample to its exclusive
+        wall time (``self_s``), its share of the sample weight (``share``;
+        the shares sum to 1) and its sample count, largest ``self_s`` first.
+        """
+        wall = max(self.wall_s, 1e-12)
+        events = self.sim.events_processed - self._events0
+        total = sum(self.weights.values())
+        seconds = self.seconds()
+        depths = self.heap_depths or [0]
         return {
-            "wall_time_s": self.wall_time_s,
-            "events": self.events,
-            "events_per_sec": self.events_per_sec,
-            "sim_time_s": self.sim_time_s,
-            "cancelled_churn": self.cancelled_churn,
-            "heap": {
-                "samples": self.heap_samples,
-                "min": self.heap_min,
-                "max": self.heap_max,
-                "mean": self.heap_mean,
-            },
-            "callbacks": [
-                {
-                    "callsite": c.callsite,
-                    "calls": c.calls,
-                    "total_s": c.total_s,
-                    "max_s": c.max_s,
-                    "mean_us": c.mean_us,
+            "wall_time_s": wall,
+            "events": events,
+            "events_per_sec": events / wall,
+            "sim_time_s": self.sim.now,
+            "cancelled_churn": self.sim.cancelled_skipped - self._cancelled0,
+            "samples": self.samples,
+            "heap_min": min(depths),
+            "heap_max": max(depths),
+            "heap_mean": statistics.fmean(depths),
+            "layers": {
+                layer: {
+                    "self_s": seconds[layer],
+                    "share": self.weights[layer] / total,
+                    "samples": self.counts[layer],
                 }
-                for c in self.callbacks
-            ],
+                for layer in sorted(seconds, key=lambda k: -seconds[k])
+            },
         }
 
 
-class Profiler:
-    """Samples one simulator run; build with :meth:`attach`, read with
-    :meth:`report` after the run completes."""
-
-    def __init__(self, sample_interval: int = 64) -> None:
-        if sample_interval < 1:
-            raise ValueError("sample_interval must be >= 1")
-        self.sample_interval = sample_interval
-        # keyed by the underlying function object (bound methods are
-        # re-created per schedule; __func__ is the stable identity)
-        self._stats: dict[Any, list] = {}
-        self._events = 0
-        self._heap_n = 0
-        self._heap_sum = 0
-        self._heap_min = 0
-        self._heap_max = 0
-        self._sim: Optional["Simulator"] = None
-        self._t0: Optional[float] = None
-        self._t1: Optional[float] = None
-        self._events0 = 0
-        self._cancelled0 = 0
-
-    # ------------------------------------------------------------------
-    # lifecycle
-    # ------------------------------------------------------------------
-    def attach(self, sim: "Simulator") -> "Profiler":
-        """Start observing ``sim`` (baselines its counters now)."""
-        self._sim = sim
-        sim.set_profiler(self)
-        self._t0 = time.perf_counter()
-        self._events0 = sim.events_processed
-        self._cancelled0 = sim.cancelled_skipped
-        return self
-
-    def detach(self) -> None:
-        if self._sim is not None:
-            self._t1 = time.perf_counter()
-            self._sim.set_profiler(None)
-
-    # ------------------------------------------------------------------
-    # hot path (called by the simulator for every fired event)
-    # ------------------------------------------------------------------
-    def note(self, fn: Callable, elapsed: float, heap_len: int) -> None:
-        key = getattr(fn, "__func__", fn)
-        entry = self._stats.get(key)
-        if entry is None:
-            entry = self._stats[key] = [0, 0.0, 0.0]
-        entry[0] += 1
-        entry[1] += elapsed
-        if elapsed > entry[2]:
-            entry[2] = elapsed
-        self._events += 1
-        if self._events % self.sample_interval == 0:
-            if self._heap_n == 0:
-                self._heap_min = self._heap_max = heap_len
-            else:
-                if heap_len < self._heap_min:
-                    self._heap_min = heap_len
-                if heap_len > self._heap_max:
-                    self._heap_max = heap_len
-            self._heap_n += 1
-            self._heap_sum += heap_len
-
-    # ------------------------------------------------------------------
-    # readout
-    # ------------------------------------------------------------------
-    def report(self) -> ProfileReport:
-        if self._sim is None or self._t0 is None:
-            raise RuntimeError("profiler was never attached")
-        t1 = self._t1 if self._t1 is not None else time.perf_counter()
-        wall = max(t1 - self._t0, 1e-12)
-        events = self._sim.events_processed - self._events0
-        callbacks = tuple(
-            sorted(
-                (
-                    CallbackStats(
-                        callsite=getattr(fn, "__qualname__", repr(fn)),
-                        calls=calls,
-                        total_s=total,
-                        max_s=mx,
-                    )
-                    for fn, (calls, total, mx) in self._stats.items()
-                ),
-                key=lambda c: c.total_s,
-                reverse=True,
-            )
-        )
-        return ProfileReport(
-            wall_time_s=wall,
-            events=events,
-            events_per_sec=events / wall,
-            sim_time_s=self._sim.now,
-            cancelled_churn=self._sim.cancelled_skipped - self._cancelled0,
-            heap_samples=self._heap_n,
-            heap_min=self._heap_min,
-            heap_max=self._heap_max,
-            heap_mean=self._heap_sum / self._heap_n if self._heap_n else 0.0,
-            callbacks=callbacks,
-        )
-
-
-def format_profile(report: ProfileReport, top: int = 15) -> str:
-    """Render a profile report as the CLI's hot-callback table."""
+def format_profile(report: dict[str, Any]) -> str:
+    """Render a :meth:`Profiler.report` as the CLI's layer table."""
     lines = [
-        f"events processed       {report.events}",
-        f"events/sec             {report.events_per_sec:,.0f}",
-        f"wall time              {report.wall_time_s:.3f} s "
-        f"(sim time {report.sim_time_s:.1f} s)",
-        f"cancelled-entry churn  {report.cancelled_churn}",
-        f"heap depth             min {report.heap_min}  mean {report.heap_mean:.1f}  "
-        f"max {report.heap_max}  ({report.heap_samples} samples)",
+        f"events processed       {report['events']}",
+        f"events/sec             {report['events_per_sec']:,.0f}",
+        f"wall time              {report['wall_time_s']:.3f} s "
+        f"(sim time {report['sim_time_s']:.1f} s)",
+        f"cancelled-entry churn  {report['cancelled_churn']}",
+        f"heap depth             min {report['heap_min']}  mean {report['heap_mean']:.1f}  "
+        f"max {report['heap_max']}",
         "",
-        "hot callbacks (by total wall time):",
+        f"exclusive wall time by layer ({report['samples']} stack samples):",
     ]
-    header = f"  {'callsite':<44} {'calls':>9} {'total ms':>10} {'mean us':>9} {'max us':>9}"
+    header = f"  {'layer':<20} {'self s':>9} {'share':>7} {'samples':>8}"
     lines.append(header)
     lines.append("  " + "-" * (len(header) - 2))
-    for cb in report.callbacks[:top]:
+    for layer, row in report["layers"].items():
         lines.append(
-            f"  {cb.callsite:<44} {cb.calls:>9} {1e3 * cb.total_s:>10.2f} "
-            f"{cb.mean_us:>9.1f} {1e6 * cb.max_s:>9.1f}"
-        )
-    if len(report.callbacks) > top:
-        rest = report.callbacks[top:]
-        lines.append(
-            f"  ... {len(rest)} more callsites "
-            f"({1e3 * sum(c.total_s for c in rest):.2f} ms)"
+            f"  {layer:<20} {row['self_s']:>9.3f} {row['share']:>7.1%} {row['samples']:>8}"
         )
     return "\n".join(lines)

@@ -25,7 +25,7 @@ Design constraints (why this is ~200 lines and not OpenTelemetry):
   after the round trip.  The tree looks seamless; no IPC machinery.
 
 Chrome/Perfetto export lives with the other exporters:
-:func:`repro.obs.export.spans_to_chrome_trace`.
+:func:`repro.obs.export.write_chrome_trace`.
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@
 Public surface:
 
 * :class:`Simulator` / :class:`ScheduledEvent` — the event scheduler
-  (with an opt-in profiler hook, see :mod:`repro.obs.profiler`).
+  (profiled from another thread, see :mod:`repro.obs.profiler`).
 * :class:`OneShotTimer` / :class:`PeriodicTimer` — protocol timer idioms.
 * :class:`Tracer` / :class:`TraceRecord` — registry-backed metrics and
   structured traces.

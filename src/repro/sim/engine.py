@@ -41,12 +41,14 @@ the air turns into heap traffic here):
   the heap is dead (and past a small floor), the whole heap is swept and
   re-heapified in one O(n) pass.  Live entries keep their ``(time, seq)``
   keys, so ordering is unaffected.
+* **No profiling hook** — :meth:`Simulator.run` calls each callback
+  directly; :class:`repro.obs.profiler.Profiler` samples the loop's stack
+  from another thread, so profiled runs execute the same code.
 """
 
 from __future__ import annotations
 
 import heapq
-from time import perf_counter
 from typing import Any, Callable, Optional
 
 __all__ = ["Simulator", "ScheduledEvent", "SimulationError"]
@@ -137,7 +139,6 @@ class Simulator:
         #: dead entries removed by whole-heap sweeps (subset of
         #: cancelled_skipped; diagnostic only)
         self.compaction_swept: int = 0
-        self._profiler: Optional[Any] = None
 
     # ------------------------------------------------------------------
     # clock
@@ -146,17 +147,6 @@ class Simulator:
     def now(self) -> float:
         """Current virtual time in seconds."""
         return self._now
-
-    # ------------------------------------------------------------------
-    # profiling
-    # ------------------------------------------------------------------
-    def set_profiler(self, profiler: Optional[Any]) -> None:
-        """Install (or remove, with None) an event-loop profiler.
-
-        The profiler's ``note(fn, elapsed_s, heap_len)`` is called after
-        every fired event; see :class:`repro.obs.profiler.Profiler`.
-        """
-        self._profiler = profiler
 
     # ------------------------------------------------------------------
     # scheduling
@@ -240,13 +230,7 @@ class Simulator:
                 self._now = time
                 ev.fired = True
                 self.events_processed += ev.count
-                prof = self._profiler
-                if prof is None:
-                    ev.fn(*ev.args)
-                else:
-                    t0 = perf_counter()
-                    ev.fn(*ev.args)
-                    prof.note(ev.fn, perf_counter() - t0, len(heap))
+                ev.fn(*ev.args)
             if until is not None and self._now < until and not self._stopped:
                 self._now = until
         finally:
@@ -264,13 +248,7 @@ class Simulator:
             self._now = time
             ev.fired = True
             self.events_processed += ev.count
-            prof = self._profiler
-            if prof is None:
-                ev.fn(*ev.args)
-            else:
-                t0 = perf_counter()
-                ev.fn(*ev.args)
-                prof.note(ev.fn, perf_counter() - t0, len(heap))
+            ev.fn(*ev.args)
             return True
         return False
 

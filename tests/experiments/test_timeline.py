@@ -268,6 +268,30 @@ class TestCli:
         assert main(["timeline", str(fig)]) == 2
         assert "--cell" in capsys.readouterr().err
 
+    def test_timeline_verb_rejects_chrome_trace_without_counters(self, tmp_path, capsys):
+        # what `client trace --chrome-trace` writes without --timeline-key:
+        # span slices only, so there is no timeline to render
+        trace = tmp_path / "spans.json"
+        span = {
+            "trace_id": "a" * 16, "span_id": "b" * 16, "parent_id": None,
+            "name": "http.request", "start_s": 1.0, "end_s": 2.0,
+            "duration_s": 1.0, "status": "ok", "attributes": {},
+        }
+        trace.write_text(json.dumps({
+            "traceEvents": [
+                {"name": "process_name", "ph": "M", "pid": 1,
+                 "args": {"name": "repro service"}},
+                {"ph": "X", "name": "http.request", "cat": "span", "pid": 1,
+                 "tid": 1, "ts": 0.0, "dur": 1e6, "args": {}},
+            ],
+            "displayTimeUnit": "ms",
+            "otherData": {"spans": [span], "span_epoch_s": 1.0},
+        }))
+        assert main(["timeline", str(trace)]) == 2
+        captured = capsys.readouterr()
+        assert str(trace) in captured.err
+        assert "samples" not in captured.out
+
     def test_timeline_verb_unknown_file(self, capsys):
         assert main(["timeline", "/nonexistent/tl.json"]) == 2
         assert "no such file" in capsys.readouterr().err

@@ -58,8 +58,9 @@ class TestRunManifest:
         observed = run_observed(small_cfg(), obs)
         data = load_manifest(manifest)
         assert data["trace_path"] == str(trace)
-        assert data["profile"]["events"] == observed.profile.events
-        assert data["profile"]["callbacks"], "hot-callback table missing"
+        assert data["profile"]["events"] == observed.profile["events"]
+        assert data["profile"]["layers"], "layer table missing"
+        assert "callbacks" not in data["profile"]
 
     def test_load_rejects_unknown_version(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -17,7 +17,7 @@ from repro.obs.spans import (
     new_trace_id,
     span_tree,
 )
-from repro.obs.export import spans_to_chrome_trace
+from repro.obs.export import chrome_trace_to_timeline, write_chrome_trace
 
 
 class TestIdsAndLinks:
@@ -209,7 +209,7 @@ class TestChromeExport:
         root = store.start("http.request")
         store.start("job", parent=root, job="job-000001").end()
         root.end()
-        out = spans_to_chrome_trace(store.recent(), tmp_path / "spans.json")
+        out = write_chrome_trace(tmp_path / "spans.json", spans=store.recent())
         data = json.loads(out.read_text())
         xs = [e for e in data["traceEvents"] if e.get("ph") == "X"]
         assert {e["name"] for e in xs} == {"http.request", "job"}
@@ -234,10 +234,29 @@ class TestChromeExport:
             "interval": 1.0,
             "duration": 1.0,
         }
-        out = spans_to_chrome_trace(
-            store.recent(), tmp_path / "merged.json", timeline=timeline
+        out = write_chrome_trace(
+            tmp_path / "merged.json", spans=store.recent(), timeline=timeline
         )
         data = json.loads(out.read_text())
         phases = {e.get("ph") for e in data["traceEvents"]}
         assert "X" in phases and "C" in phases
         assert data["otherData"]["timeline"]["probes"][0]["name"] == "nodes.alive"
+        # the merged file reloads its probes through the one reader
+        restored = chrome_trace_to_timeline(out)
+        assert restored.series("nodes.alive") == ([0.0, 1.0], [5, 4])
+
+    def test_names_each_trace_track_once(self, tmp_path):
+        store = SpanStore()
+        for _ in range(2):
+            root = store.start("http.request")
+            store.start("http.parse", parent=root).end()
+            store.start("job", parent=root).end()
+            root.end()
+        spans = store.recent()
+        assert len(spans) == 6
+        data = json.loads(
+            write_chrome_trace(tmp_path / "spans.json", spans=spans).read_text()
+        )
+        names = [e for e in data["traceEvents"] if e["name"] == "thread_name"]
+        assert len(names) == len({s["trace_id"] for s in spans}) == 2
+        assert len({e["tid"] for e in names}) == 2

@@ -15,7 +15,7 @@ from repro.obs import (
     save_timeline,
     sparkline,
     timeline_from_trace_jsonl,
-    timeline_to_chrome_trace,
+    write_chrome_trace,
 )
 from repro.sim import Simulator
 
@@ -167,13 +167,13 @@ class TestSerialization:
 class TestChromeTrace:
     def test_round_trip_via_other_data_is_exact(self, tmp_path):
         tl = recorded(3.0, 10.0)
-        path = timeline_to_chrome_trace(tl, tmp_path / "trace.json")
+        path = write_chrome_trace(tmp_path / "trace.json", timeline=tl)
         back = chrome_trace_to_timeline(path)
         assert back.as_dict() == tl.as_dict()
 
     def test_counter_events_carry_microseconds(self, tmp_path):
         tl = recorded(5.0, 10.0)
-        data = json.loads(timeline_to_chrome_trace(tl, tmp_path / "t.json").read_text())
+        data = json.loads(write_chrome_trace(tmp_path / "t.json", timeline=tl).read_text())
         counters = [e for e in data["traceEvents"] if e.get("ph") == "C"]
         assert {e["name"] for e in counters} == {"ticks", "t"}
         ts = sorted({e["ts"] for e in counters})
@@ -181,7 +181,7 @@ class TestChromeTrace:
 
     def test_reconstruction_from_counters_alone(self, tmp_path):
         tl = recorded(5.0, 10.0)
-        path = timeline_to_chrome_trace(tl, tmp_path / "t.json")
+        path = write_chrome_trace(tmp_path / "t.json", timeline=tl)
         data = json.loads(path.read_text())
         del data["otherData"]  # force the counter-event fallback
         path.write_text(json.dumps(data))

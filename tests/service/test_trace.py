@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from repro.obs.export import chrome_trace_to_timeline, spans_to_chrome_trace
+from repro.obs.export import chrome_trace_to_timeline, write_chrome_trace
 from repro.obs.spans import SpanStore, span_tree
 from repro.obs.timeline import TIMELINE_VERSION, Timeline
 from repro.service.client import ServiceError
@@ -204,8 +204,8 @@ class TestChromeRoundTrip:
                 ],
             }
         )
-        out = spans_to_chrome_trace(
-            trace["spans"], tmp_path / "trace.json", timeline=timeline
+        out = write_chrome_trace(
+            tmp_path / "trace.json", spans=trace["spans"], timeline=timeline
         )
         data = json.loads(out.read_text())
         slices = [e for e in data["traceEvents"] if e.get("ph") == "X"]
