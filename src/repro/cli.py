@@ -525,7 +525,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     timeline_p.add_argument(
         "target",
-        help="timeline JSON, Chrome trace, JSONL trace, store entry, run manifest, "
+        help="timeline JSON, Chrome trace, store entry, run manifest, "
         "or figure manifest/result (the latter need --cell)",
     )
     timeline_p.add_argument(
@@ -752,11 +752,31 @@ def _cmd_fig(args: argparse.Namespace) -> int:
     return 0
 
 
+#: the verb that reads each JSON artifact ``stats`` does not
+_ARTIFACT_READERS = {
+    "timeline": "repro timeline",
+    "store-entry": "repro audit",
+    "figure-result": "repro audit",
+}
+
+
+def _is_jsonl_trace(path) -> bool:
+    """Whether the file's first line is a JSONL trace's ``meta`` header."""
+    import json
+
+    try:
+        with open(path) as fh:
+            head = json.loads(fh.readline())
+    except ValueError:  # not JSON, or not text
+        return False
+    return isinstance(head, dict) and head.get("type") == "meta"
+
+
 def _cmd_stats(args: argparse.Namespace) -> int:
     import json
     from pathlib import Path
 
-    from .obs import format_manifest, load_manifest, trace_summary
+    from .obs import format_manifest, load_artifact, load_manifest, trace_summary
 
     if args.list_categories:
         width = max(len(name) for name in TRACE_CATEGORIES)
@@ -771,24 +791,31 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         print(f"no such file: {path}", file=sys.stderr)
         return 1
     try:
-        data = json.loads(path.read_text())
-        is_manifest = isinstance(data, dict) and "manifest_version" in data
-    except json.JSONDecodeError:
-        is_manifest = False  # multi-line JSONL traces land here
-    if is_manifest:
+        kind, _ = load_artifact(path)
+    except ValueError:
+        kind = None  # JSONL traces and unknown shapes land here
+    if kind in ("run", "figure"):
         print(format_manifest(load_manifest(path), top_counters=args.top))
         return 0
+    if kind is not None:
+        print(
+            f"stats: {path} is a {kind.replace('-', ' ')}, not a manifest or JSONL "
+            f"trace; read it with '{_ARTIFACT_READERS[kind]}'",
+            file=sys.stderr,
+        )
+        return 2
     try:
-        summary = trace_summary(path)
+        summary = trace_summary(path) if _is_jsonl_trace(path) else None
     except json.JSONDecodeError:
+        summary = None  # a torn line further down
+    if summary is None:
         print(f"not a manifest or JSONL trace: {path}", file=sys.stderr)
         return 1
     t_min, t_max = summary["time_span"]
     span = f"{t_min:.3f} .. {t_max:.3f} s" if t_min is not None else "empty"
     print(f"trace {summary['path']} (v{summary['trace_version']})")
-    print(f"records          {summary['records']}")
-    print(f"gauge snapshots  {summary['gauge_snapshots']}")
-    print(f"time span        {span}")
+    print(f"records     {summary['records']}")
+    print(f"time span   {span}")
     print(f"categories ({len(summary['categories'])}):")
     for cat, n in list(summary["categories"].items())[: args.top]:
         print(f"  {cat:<32} {n}")
@@ -885,24 +912,27 @@ def _load_timeline_target(args: argparse.Namespace):
     Accepts, in classification order: a saved timeline JSON (standalone
     or store-persisted), a Chrome trace, a store entry or run manifest
     (stored timeline if present, else a live re-run from the embedded
-    config), a figure manifest/result (live re-run of one ``--cell``),
-    or a JSONL trace with gauge snapshots.
+    config), or a figure manifest/result (live re-run of one ``--cell``).
+    A JSONL trace holds records, not a timeline, and is rejected.
     """
     import json
     from pathlib import Path
 
     from .experiments import config_from_dict, figure_cell_config
-    from .obs import Timeline, chrome_trace_to_timeline, timeline_from_trace_jsonl
+    from .obs import Timeline, chrome_trace_to_timeline
 
     path = Path(args.target)
     if not path.exists():
         raise FileNotFoundError(f"no such file: {path}")
+    if _is_jsonl_trace(path):
+        raise ValueError(
+            f"{path}: a JSONL trace holds records, not a timeline; "
+            "record one with 'repro run --timeline-out'"
+        )
     try:
         data = json.loads(path.read_text())
     except json.JSONDecodeError:
         data = None
-    if data is None:
-        return timeline_from_trace_jsonl(path), "trace gauge snapshots"
     if not isinstance(data, dict):
         raise ValueError(f"{path}: not a JSON object")
     if "timeline_version" in data:

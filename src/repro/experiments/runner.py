@@ -42,6 +42,7 @@ from ..net.topology import (
     scattered_sink_nodes,
 )
 from ..obs import (
+    DEFAULT_MAX_RECORDS,
     MetricsRegistry,
     ObsOptions,
     Profiler,
@@ -49,7 +50,6 @@ from ..obs import (
     TraceWriter,
     build_run_manifest,
     install_standard_probes,
-    publish_sim_gauges,
     save_manifest,
     save_timeline,
 )
@@ -195,7 +195,8 @@ def build_world(
         tracer = Tracer(
             lambda: sim.now,
             registry=MetricsRegistry(detailed=obs.detailed_metrics),
-            max_records=obs.effective_max_records(),
+            # a streamed trace keeps nothing in memory
+            max_records=0 if obs.trace_path is not None else DEFAULT_MAX_RECORDS,
         )
     else:
         tracer = Tracer(lambda: sim.now)
@@ -347,24 +348,8 @@ def run_observed(
             )
             auditor.attach(tracer)
         if obs.trace_path is not None:
-            writer = TraceWriter(obs.trace_path, registry=tracer.registry)
+            writer = TraceWriter(obs.trace_path)
             writer.attach(tracer, *obs.trace_categories)
-            interval = obs.snapshot_interval or cfg.duration / 10.0
-
-            def snap() -> None:
-                publish_sim_gauges(tracer.registry, world.sim)
-                assert writer is not None
-                writer.write_snapshot(sim.now)
-                # Close out the final partial interval with a snapshot at
-                # exactly cfg.duration, and never schedule past the horizon
-                # (events at t == duration still fire under run(until=...)).
-                nxt = sim.now + interval
-                if nxt < cfg.duration:
-                    sim.schedule(interval, snap)
-                elif sim.now < cfg.duration:
-                    sim.schedule(cfg.duration - sim.now, snap)
-
-            sim.schedule(min(interval, cfg.duration), snap)
         if obs.timeline_enabled():
             timeline = Timeline(obs.effective_timeline_interval(cfg.duration))
             install_standard_probes(
@@ -375,13 +360,7 @@ def run_observed(
                 collector=world.metrics,
                 tracer=tracer,
             )
-            # publish_sim_gauges before each sample: timeline-only runs
-            # get the same sim health gauges the trace snapshots publish
-            timeline.attach(
-                sim,
-                cfg.duration,
-                before_sample=lambda: publish_sim_gauges(tracer.registry, sim),
-            )
+            timeline.attach(sim, cfg.duration)
 
     snapshots: list[tuple[float, float]] = []
     class_snapshots: list[dict[str, tuple[float, float]]] = []

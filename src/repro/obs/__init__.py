@@ -27,7 +27,6 @@ from .export import (
     chrome_trace_to_timeline,
     iter_trace_lines,
     read_trace,
-    timeline_from_trace_jsonl,
     trace_summary,
     write_chrome_trace,
 )
@@ -54,7 +53,6 @@ from .timeline import (
     format_timeline,
     install_standard_probes,
     load_timeline,
-    publish_sim_gauges,
     save_timeline,
     sparkline,
 )
@@ -136,12 +134,10 @@ __all__ = [
     "Timeline",
     "TimelineProbe",
     "install_standard_probes",
-    "publish_sim_gauges",
     "save_timeline",
     "load_timeline",
     "sparkline",
     "format_timeline",
     "write_chrome_trace",
     "chrome_trace_to_timeline",
-    "timeline_from_trace_jsonl",
 ]

@@ -3,12 +3,16 @@
 A :class:`TraceWriter` registers as a :class:`~repro.sim.trace.Tracer`
 listener and serializes every recorded :class:`TraceRecord` to one JSON
 line as it happens — nothing is buffered in memory, so multi-hour runs
-with ``enable("*")`` stay flat.  The file interleaves three line types:
+with ``enable("*")`` stay flat.  The file holds two line types:
 
-* ``{"type": "record", "t": ..., "cat": ..., "fields": {...}}``
-* ``{"type": "gauges", "t": ..., "gauges": {...}}`` — periodic registry
-  gauge snapshots (scheduled by the runner);
-* ``{"type": "meta", ...}`` — one header line with the export version.
+* ``{"type": "meta", ...}`` — one header line with the export version;
+* ``{"type": "record", "t": ..., "cat": ..., "fields": {...}}`` — one
+  per trace record.
+
+A trace holds records only; time series over a run are the probe
+timeline's job (:mod:`repro.obs.timeline`).  Readers skip any other line
+type, so traces from older writers that interleaved ``gauges``
+snapshot lines still read.
 
 Round-trip contract: a record whose field values are JSON-representable
 scalars (str/int/float/bool/None) reads back **exactly** via
@@ -25,7 +29,6 @@ from typing import TYPE_CHECKING, Any, Iterator, Optional, Union
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..sim.trace import TraceRecord, Tracer
-    from .registry import MetricsRegistry
 
 __all__ = [
     "TraceWriter",
@@ -35,26 +38,23 @@ __all__ = [
     "TRACE_VERSION",
     "write_chrome_trace",
     "chrome_trace_to_timeline",
-    "timeline_from_trace_jsonl",
 ]
 
 TRACE_VERSION = 1
 
 
 class TraceWriter:
-    """JSONL sink for trace records and gauge snapshots.
+    """JSONL sink for trace records.
 
     Use as a context manager, or call :meth:`close` explicitly; each line
     is written as it is produced.
     """
 
-    def __init__(self, path: Union[str, Path], registry: Optional["MetricsRegistry"] = None):
+    def __init__(self, path: Union[str, Path]):
         self.path = Path(path)
-        self.registry = registry
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._fh = self.path.open("w")
         self.records_written = 0
-        self.snapshots_written = 0
         self._write({"type": "meta", "trace_version": TRACE_VERSION})
 
     def _write(self, obj: dict[str, Any]) -> None:
@@ -71,19 +71,10 @@ class TraceWriter:
         )
         self.records_written += 1
 
-    def write_snapshot(self, now: float) -> None:
-        """Append a gauge snapshot from the attached registry."""
-        if self.registry is None:
-            return
-        self._write({"type": "gauges", "t": now, "gauges": self.registry.snapshot()["gauges"]})
-        self.snapshots_written += 1
-
     def attach(self, tracer: "Tracer", *categories: str) -> "TraceWriter":
         """Enable ``categories`` (default everything) and start streaming."""
         tracer.enable(*(categories or ("*",)))
         tracer.add_listener(self)
-        if self.registry is None:
-            self.registry = tracer.registry
         return self
 
     # ------------------------------------------------------------------
@@ -272,58 +263,12 @@ def chrome_trace_to_timeline(path: Union[str, Path]):
     )
 
 
-def timeline_from_trace_jsonl(path: Union[str, Path]):
-    """Build a timeline from the periodic gauge snapshots of a JSONL trace.
-
-    Every ``type: "gauges"`` line becomes one sample; the probe set is the
-    union of gauge names (a gauge missing from an early snapshot reads as
-    0.0 there).  All series are float — the trace does not record kinds.
-    """
-    from .timeline import TIMELINE_VERSION, Timeline
-
-    times: list[float] = []
-    rows: list[dict[str, Any]] = []
-    names: list[str] = []
-    seen: set[str] = set()
-    for obj in iter_trace_lines(path):
-        if obj.get("type") != "gauges":
-            continue
-        gauges = obj.get("gauges", {})
-        times.append(obj.get("t", 0.0))
-        rows.append(gauges)
-        for name in gauges:
-            if name not in seen:
-                seen.add(name)
-                names.append(name)
-    if not times:
-        raise ValueError(f"{path}: no gauge snapshots (run with --trace-out and snapshots)")
-    interval = times[1] - times[0] if len(times) > 1 else None
-    return Timeline.from_dict(
-        {
-            "timeline_version": TIMELINE_VERSION,
-            "interval": interval,
-            "duration": times[-1],
-            "times": times,
-            "probes": [
-                {
-                    "name": name,
-                    "kind": "float",
-                    "description": "registry gauge (from trace snapshots)",
-                    "values": [float(row.get(name, 0.0)) for row in rows],
-                }
-                for name in names
-            ],
-        }
-    )
-
-
 def trace_summary(path: Union[str, Path]) -> dict[str, Any]:
     """Aggregate view of a trace file (the ``repro stats`` backend)."""
     categories: dict[str, int] = {}
     t_min: Optional[float] = None
     t_max: Optional[float] = None
     records = 0
-    snapshots = 0
     version: Optional[int] = None
     for obj in iter_trace_lines(path):
         kind = obj.get("type")
@@ -335,13 +280,10 @@ def trace_summary(path: Union[str, Path]) -> dict[str, Any]:
             t = obj["t"]
             t_min = t if t_min is None else min(t_min, t)
             t_max = t if t_max is None else max(t_max, t)
-        elif kind == "gauges":
-            snapshots += 1
     return {
         "path": str(path),
         "trace_version": version,
         "records": records,
-        "gauge_snapshots": snapshots,
         "time_span": (t_min, t_max),
         "categories": dict(sorted(categories.items(), key=lambda kv: -kv[1])),
     }

@@ -19,7 +19,7 @@ recording nothing).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
 
@@ -79,26 +79,18 @@ class ObsOptions:
     trace_path: Optional[Union[str, Path]] = None
     #: categories to enable when tracing ("*" = everything)
     trace_categories: tuple[str, ...] = ("*",)
-    #: sim-seconds between gauge snapshots in the trace (None = duration/10)
-    snapshot_interval: Optional[float] = None
     #: write the run provenance manifest here
     manifest_path: Optional[Union[str, Path]] = None
     #: enable per-node labelled metric series
     detailed_metrics: bool = False
     #: attach the online invariant auditor (records findings, not silent corruption)
     audit: bool = False
-    #: in-memory record cap for the tracer (0 with trace_path set)
-    max_records: Optional[int] = field(default=DEFAULT_MAX_RECORDS)
     #: sample a periodic probe timeline (see :mod:`repro.obs.timeline`)
     timeline: bool = False
     #: sim-seconds between timeline samples (None = duration/10)
     timeline_interval: Optional[float] = None
     #: write the sampled timeline as a JSON artifact here (implies ``timeline``)
     timeline_path: Optional[Union[str, Path]] = None
-
-    def effective_max_records(self) -> Optional[int]:
-        """Streaming runs keep nothing in memory."""
-        return 0 if self.trace_path is not None else self.max_records
 
     def timeline_enabled(self) -> bool:
         """Whether this run samples a timeline (flag or output path)."""

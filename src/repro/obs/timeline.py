@@ -44,7 +44,6 @@ __all__ = [
     "TimelineProbe",
     "Timeline",
     "install_standard_probes",
-    "publish_sim_gauges",
     "save_timeline",
     "load_timeline",
     "sparkline",
@@ -113,7 +112,6 @@ class Timeline:
         # pre-bound (fn, append) pairs — the entire per-sample work
         self._samplers: list[tuple[Callable[[], Any], Callable[[Any], None]]] = []
         self._sim = None
-        self._before: Optional[Callable[[], None]] = None
         self._finalized = False
 
     # ------------------------------------------------------------------
@@ -137,27 +135,21 @@ class Timeline:
         self._samplers.append((fn, probe.values.append))
         return probe
 
-    def attach(self, sim, duration: float, before_sample=None) -> "Timeline":
+    def attach(self, sim, duration: float) -> "Timeline":
         """Schedule sampling ticks on ``sim`` at ``0, i, 2i, ... < duration``.
 
-        ``before_sample`` (optional callable) runs immediately before each
-        sample — the runner uses it to refresh registry gauges so a
-        timeline sample and a trace gauge snapshot taken at the same
-        instant agree.  The closing sample at ``duration`` itself comes
-        from :meth:`finalize` after ``sim.run()`` returns.
+        The closing sample at ``duration`` itself comes from
+        :meth:`finalize` after ``sim.run()`` returns.
         """
         if self.interval is None or self.interval <= 0:
             raise ValueError(f"timeline interval must be positive, got {self.interval!r}")
         self.duration = duration
         self._sim = sim
-        self._before = before_sample
         sim.schedule(0.0, self._tick)
         return self
 
     def _tick(self) -> None:
         sim = self._sim
-        if self._before is not None:
-            self._before()
         self.sample(sim.now)
         # strict inequality: the horizon sample belongs to finalize(),
         # and nothing may be scheduled past the run end
@@ -169,8 +161,6 @@ class Timeline:
         if self._finalized:
             return
         self._finalized = True
-        if self._before is not None:
-            self._before()
         t = self.duration if now is None else now
         self.sample(t if t is not None else 0.0)
 
@@ -335,18 +325,6 @@ def load_timeline(path: Union[str, Path]) -> Timeline:
 # ----------------------------------------------------------------------
 # the standard probe set
 # ----------------------------------------------------------------------
-def publish_sim_gauges(registry, sim) -> None:
-    """Refresh the simulator health gauges on ``registry``.
-
-    Shared by the trace snapshot loop and the timeline sampler so
-    timeline-only runs (no JSONL trace) see the same gauges.
-    """
-    g = registry.gauge
-    g("sim.pending_events").set(sim.pending_count())
-    g("sim.events_processed").set(sim.events_processed)
-    g("sim.cancelled_skipped").set(sim.cancelled_skipped)
-
-
 def install_standard_probes(
     timeline: Timeline,
     *,

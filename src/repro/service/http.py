@@ -23,9 +23,10 @@ Routes (all under ``/api/v1`` except the operational pair)::
     GET  /healthz                   liveness probe
 
 Every request increments ``service.requests{route=...,code=...}`` and
-observes ``service.request_latency_s{route=...}`` — route labels are
-the *templates* (``/api/v1/jobs/{id}``), not raw paths, to keep label
-cardinality bounded.
+observes ``service.request_latency_s{route=...}`` — a route label is
+the *template* of a route the daemon serves for the request's method
+(``GET /api/v1/jobs/{id}``), never the raw path or method, and every
+other request is ``unknown``, so label cardinality stays bounded.
 
 Every request also opens an ``http.request`` span whose trace id is the
 request's **correlation id**: error payloads echo it, structured logs
@@ -66,6 +67,26 @@ _REASONS = {
 
 #: request-latency histogram edges (seconds): service calls are fast
 _LATENCY_BUCKETS = (0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5)
+
+#: every route the daemon serves, as (method, path template, route label);
+#: a ``{...}`` template segment matches any one path segment
+_ROUTES = tuple(
+    (method, tuple(template.strip("/").split("/")), label)
+    for method, template, label in (
+        ("GET", "/healthz", "/healthz"),
+        ("GET", "/metrics", "/metrics"),
+        ("POST", "/api/v1/jobs", "POST /api/v1/jobs"),
+        ("GET", "/api/v1/jobs", "GET /api/v1/jobs"),
+        ("GET", "/api/v1/jobs/{id}", "GET /api/v1/jobs/{id}"),
+        ("GET", "/api/v1/jobs/{id}/result", "GET /api/v1/jobs/{id}/result"),
+        ("GET", "/api/v1/jobs/{id}/trace", "GET /api/v1/jobs/{id}/trace"),
+        ("GET", "/api/v1/jobs/{id}/events", "GET /api/v1/jobs/{id}/events"),
+        ("GET", "/api/v1/trace", "GET /api/v1/trace"),
+        ("GET", "/api/v1/runs", "GET /api/v1/runs"),
+        ("GET", "/api/v1/runs/{key}", "GET /api/v1/runs/{key}"),
+        ("GET", "/api/v1/runs/{key}/timeline", "GET /api/v1/runs/{key}/timeline"),
+    )
+)
 
 
 class _HttpError(Exception):
@@ -141,8 +162,11 @@ class ServiceDaemon:
             span.set(method=method, path=path)
             # resolve the route label up front so a handler that raises is
             # still attributed to its route (error counters, access logs)
-            route = self._route_label(method, path)
-            route, code, payload, stream = self._dispatch(method, path, query, body, span)
+            parts = [p for p in path.split("/") if p]
+            route = self._route_label(method, parts)
+            code, payload, stream = self._dispatch(
+                route, parts, method, path, query, body, span
+            )
             if stream is not None:
                 code = 200
                 await stream(writer)
@@ -237,93 +261,75 @@ class ServiceDaemon:
     # ------------------------------------------------------------------
     def _dispatch(
         self,
+        route: str,
+        parts: list[str],
         method: str,
         path: str,
         query: dict[str, str],
         body: bytes,
         span=None,
     ):
-        """Returns ``(route_label, code, payload, sse_coroutine_or_None)``."""
-        # NOTE: keep in sync with _route_label, which resolves the same
-        # patterns without side effects for error attribution
-        parts = [p for p in path.split("/") if p]
-        if parts == ["healthz"] and method == "GET":
-            return "/healthz", 200, {"ok": True, "started_at": self.started_at}, None
-        if parts == ["metrics"] and method == "GET":
-            return "/metrics", 200, self._metrics_payload(), None
-        if len(parts) >= 2 and parts[:2] == ["api", "v1"]:
-            rest = parts[2:]
-            if rest == ["jobs"]:
-                if method == "POST":
-                    return "POST /api/v1/jobs", *self._submit(body, span), None
-                if method == "GET":
-                    jobs = [j.as_dict() for j in self.scheduler.list_jobs()]
-                    return "GET /api/v1/jobs", 200, {"jobs": jobs}, None
-                raise _HttpError(405, f"{method} not allowed on /api/v1/jobs")
-            if rest == ["trace"] and method == "GET":
-                return "GET /api/v1/trace", 200, self._trace_payload(query), None
-            if len(rest) >= 2 and rest[0] == "jobs" and method == "GET":
-                job = self.scheduler.get(rest[1])
-                if job is None:
-                    raise _HttpError(404, f"no such job {rest[1]!r}")
-                if len(rest) == 2:
-                    return "GET /api/v1/jobs/{id}", 200, job.as_dict(), None
-                if rest[2:] == ["result"]:
-                    route = "GET /api/v1/jobs/{id}/result"
-                    if job.status == "failed":
-                        raise _HttpError(409, f"job {job.id} failed: {job.error}")
-                    if job.status != "done":
-                        raise _HttpError(409, f"job {job.id} is {job.status}")
-                    return route, 200, job.result_payload(), None
-                if rest[2:] == ["trace"]:
-                    route = "GET /api/v1/jobs/{id}/trace"
-                    return route, 200, self._job_trace_payload(job), None
-                if rest[2:] == ["events"]:
-                    stream = lambda w: self._stream_events(w, job)  # noqa: E731
-                    return "GET /api/v1/jobs/{id}/events", 200, None, stream
-            if rest == ["runs"] and method == "GET":
-                return "GET /api/v1/runs", 200, {"runs": self.store.ls()}, None
-            if len(rest) >= 2 and rest[0] == "runs" and method == "GET":
-                key = rest[1]
-                if len(rest) == 2:
-                    entry = self.store.entry(key)
-                    if entry is None:
-                        raise _HttpError(404, f"no stored run {key!r}")
-                    return "GET /api/v1/runs/{key}", 200, entry, None
-                if rest[2:] == ["timeline"]:
-                    timeline = self.store.get_timeline(key)
-                    if timeline is None:
-                        raise _HttpError(404, f"no stored timeline for {key!r}")
-                    return "GET /api/v1/runs/{key}/timeline", 200, timeline, None
+        """Returns ``(code, payload, sse_coroutine_or_None)`` for one request."""
+        if route == "/healthz":
+            return 200, {"ok": True, "started_at": self.started_at}, None
+        if route == "/metrics":
+            return 200, self._metrics_payload(), None
+        if route == "POST /api/v1/jobs":
+            return *self._submit(body, span), None
+        if route == "GET /api/v1/jobs":
+            jobs = [j.as_dict() for j in self.scheduler.list_jobs()]
+            return 200, {"jobs": jobs}, None
+        if route == "GET /api/v1/trace":
+            return 200, self._trace_payload(query), None
+        if route == "GET /api/v1/runs":
+            return 200, {"runs": self.store.ls()}, None
+        if route.startswith("GET /api/v1/jobs/{id}"):
+            job = self.scheduler.get(parts[3])
+            if job is None:
+                raise _HttpError(404, f"no such job {parts[3]!r}")
+            if route == "GET /api/v1/jobs/{id}":
+                return 200, job.as_dict(), None
+            if route == "GET /api/v1/jobs/{id}/result":
+                if job.status == "failed":
+                    raise _HttpError(409, f"job {job.id} failed: {job.error}")
+                if job.status != "done":
+                    raise _HttpError(409, f"job {job.id} is {job.status}")
+                return 200, job.result_payload(), None
+            if route == "GET /api/v1/jobs/{id}/trace":
+                return 200, self._job_trace_payload(job), None
+            # GET /api/v1/jobs/{id}/events
+            stream = lambda w: self._stream_events(w, job)  # noqa: E731
+            return 200, None, stream
+        if route == "GET /api/v1/runs/{key}":
+            entry = self.store.entry(parts[3])
+            if entry is None:
+                raise _HttpError(404, f"no stored run {parts[3]!r}")
+            return 200, entry, None
+        if route == "GET /api/v1/runs/{key}/timeline":
+            timeline = self.store.get_timeline(parts[3])
+            if timeline is None:
+                raise _HttpError(404, f"no stored timeline for {parts[3]!r}")
+            return 200, timeline, None
+        if parts == ["api", "v1", "jobs"]:
+            raise _HttpError(405, f"{method} not allowed on /api/v1/jobs")
         raise _HttpError(404, f"no route for {method} {path}")
 
     @staticmethod
-    def _route_label(method: str, path: str) -> str:
-        """The low-cardinality route label for a request path.
+    def _route_label(method: str, parts: list[str]) -> str:
+        """The label of the route serving ``method`` on the path ``parts``.
 
-        Pure pattern matching — no lookups, no side effects — so it can
-        run before dispatch; unmatched paths collapse to ``"unknown"``
-        rather than minting one counter series per garbage URL.
+        Pure table matching — no lookups, no side effects — so it can
+        run before dispatch; a method or path no route serves collapses
+        to ``"unknown"`` rather than minting one counter series per
+        client-chosen method or garbage URL.
         """
-        parts = [p for p in path.split("/") if p]
-        if parts == ["healthz"]:
-            return "/healthz"
-        if parts == ["metrics"]:
-            return "/metrics"
-        if parts[:2] == ["api", "v1"]:
-            rest = parts[2:]
-            if rest == ["jobs"] or rest == ["runs"] or rest == ["trace"]:
-                return f"{method} /api/v1/{rest[0]}"
-            if len(rest) >= 2 and rest[0] == "jobs":
-                if len(rest) == 2:
-                    return f"{method} /api/v1/jobs/{{id}}"
-                if rest[2:] in (["result"], ["trace"], ["events"]):
-                    return f"{method} /api/v1/jobs/{{id}}/{rest[2]}"
-            if len(rest) >= 2 and rest[0] == "runs":
-                if len(rest) == 2:
-                    return f"{method} /api/v1/runs/{{key}}"
-                if rest[2:] == ["timeline"]:
-                    return f"{method} /api/v1/runs/{{key}}/timeline"
+        for route_method, template, label in _ROUTES:
+            if (
+                route_method == method
+                and len(template) == len(parts)
+                and all(t == p or t[0] == "{" for t, p in zip(template, parts))
+            ):
+                return label
         return "unknown"
 
     def _submit(self, body: bytes, span=None) -> tuple[int, dict[str, Any]]:

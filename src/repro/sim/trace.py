@@ -30,13 +30,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Optional
 
-from ..obs.options import TRACE_CATEGORIES
+from ..obs.options import DEFAULT_MAX_RECORDS, TRACE_CATEGORIES
 from ..obs.registry import MetricsRegistry
 
 __all__ = ["TraceRecord", "Tracer", "DEFAULT_MAX_RECORDS"]
-
-#: default bound on the in-memory record list (re-exported from obs)
-DEFAULT_MAX_RECORDS = 262_144
 
 
 @dataclass(frozen=True)

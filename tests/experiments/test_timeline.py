@@ -12,7 +12,7 @@ from repro.cli import main
 from repro.experiments.config import ExperimentConfig, FailureModel, smoke
 from repro.experiments.runner import run_observed
 from repro.experiments.store import RunStore
-from repro.obs import ObsOptions, iter_trace_lines
+from repro.obs import ObsOptions
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
@@ -76,6 +76,8 @@ class TestRunnerIntegration:
         assert block["samples"] == observed.timeline.n_samples
         assert block["probes"] == observed.timeline.names()
         assert block["bytes"] == observed.timeline.nbytes()
+        # the timeline is the run's only periodic sampler: no sim gauges
+        assert manifest["metrics_snapshot"]["gauges"] == {}
 
     def test_first_death_scalar_matches_failure_schedule(self):
         config = cfg(failures=FailureModel(fraction=0.3, epoch=6.0))
@@ -101,43 +103,19 @@ class TestRunnerIntegration:
         assert 0 < m.time_to_half_delivery <= 20.0
 
 
-class TestTraceSnapshotCloseout:
-    def test_gauge_snapshots_cover_the_final_partial_interval(self, tmp_path):
-        # duration 20, snapshot interval 8: the old loop sampled at 8 and
-        # 16 then silently dropped [16, 20); now a close-out snapshot
-        # lands at exactly t=20 and nothing is scheduled past the horizon.
-        path = tmp_path / "t.jsonl"
-        obs = ObsOptions(trace_path=path, snapshot_interval=8.0)
-        run_observed(cfg(), obs)
-        times = [
-            line["t"]
-            for line in iter_trace_lines(path)
-            if line.get("type") == "gauges"
-        ]
-        assert times == [8.0, 16.0, 20.0]
-
-    def test_exact_division_has_no_duplicate_horizon_snapshot(self, tmp_path):
-        path = tmp_path / "t.jsonl"
-        obs = ObsOptions(trace_path=path, snapshot_interval=5.0)
-        run_observed(cfg(), obs)
-        times = [
-            line["t"]
-            for line in iter_trace_lines(path)
-            if line.get("type") == "gauges"
-        ]
-        assert times == [5.0, 10.0, 15.0, 20.0]
-
-
 class TestDeterminism:
     def test_metrics_bit_identical_with_and_without_timeline(self):
         plain = run_observed(cfg()).metrics
         timed = run_observed(cfg(), ObsOptions(timeline=True)).metrics
         assert timed == plain
 
-    def test_timeline_identical_across_audit_toggle(self):
-        base = run_observed(cfg(), ObsOptions(timeline=True)).timeline
-        audited = run_observed(cfg(), ObsOptions(timeline=True, audit=True)).timeline
-        assert audited.as_dict() == base.as_dict()
+    def test_timeline_identical_with_audit_or_trace(self, tmp_path):
+        # an observer schedules no simulator events, so it cannot move the run
+        base = run_observed(cfg(), ObsOptions(timeline=True))
+        for observer in ({"audit": True}, {"trace_path": tmp_path / "t.jsonl"}):
+            observed = run_observed(cfg(), ObsOptions(timeline=True, **observer))
+            assert observed.timeline.as_dict() == base.timeline.as_dict(), observer
+            assert observed.events_processed == base.events_processed, observer
 
     def test_timeline_identical_serial_vs_subprocess(self):
         if "fork" not in mp.get_all_start_methods():
@@ -291,6 +269,18 @@ class TestCli:
         captured = capsys.readouterr()
         assert str(trace) in captured.err
         assert "samples" not in captured.out
+
+    def test_timeline_verb_rejects_jsonl_trace(self, tmp_path, capsys):
+        trace = tmp_path / "t.jsonl"
+        trace.write_text(
+            json.dumps({"type": "meta", "trace_version": 1}) + "\n"
+            + json.dumps({"type": "record", "t": 1.0, "cat": "phy.tx", "fields": {}})
+            + "\n"
+        )
+        assert main(["timeline", str(trace)]) == 2
+        err = capsys.readouterr().err
+        assert "holds records, not a timeline" in err
+        assert "--timeline-out" in err
 
     def test_timeline_verb_unknown_file(self, capsys):
         assert main(["timeline", "/nonexistent/tl.json"]) == 2

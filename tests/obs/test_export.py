@@ -62,19 +62,14 @@ class TestTraceWriter:
             tr.record("a", i=3)
         assert [r.get("i") for r in read_trace(path, category="a")] == [1, 3]
 
-    def test_meta_header_and_gauge_snapshots(self, tmp_path):
+    def test_meta_header_then_records_only(self, tmp_path):
         path = tmp_path / "t.jsonl"
         sim, tr = make_tracer()
-        tr.registry.gauge("depth").set(17)
-        with TraceWriter(path, registry=tr.registry) as writer:
+        with TraceWriter(path) as writer:
             writer.attach(tr)
-            writer.write_snapshot(3.0)
+            tr.record("a", i=1)
         lines = list(iter_trace_lines(path))
-        assert lines[0]["type"] == "meta"
-        snap = [ln for ln in lines if ln["type"] == "gauges"]
-        assert len(snap) == 1
-        assert snap[0]["t"] == 3.0
-        assert snap[0]["gauges"] == {"depth": 17}
+        assert [ln["type"] for ln in lines] == ["meta", "record"]
 
     def test_non_json_fields_degrade_to_strings(self, tmp_path):
         path = tmp_path / "t.jsonl"
@@ -88,17 +83,38 @@ class TestTraceWriter:
     def test_summary(self, tmp_path):
         path = tmp_path / "t.jsonl"
         sim, tr = make_tracer()
-        with TraceWriter(path, registry=tr.registry) as writer:
+        with TraceWriter(path) as writer:
             writer.attach(tr)
             sim.schedule(1.0, tr.record, "a")
             sim.schedule(4.0, tr.record, "b")
             sim.run()
-            writer.write_snapshot(sim.now)
         s = trace_summary(path)
         assert s["records"] == 2
-        assert s["gauge_snapshots"] == 1
         assert s["time_span"] == (1.0, 4.0)
         assert s["categories"] == {"a": 1, "b": 1}
+
+
+def test_trace_with_old_gauges_line_still_reads(tmp_path, capsys):
+    """Older writers interleaved ``gauges`` snapshot lines; every reader skips them."""
+    from repro.cli import main
+    from repro.obs import LineageIndex
+
+    path = tmp_path / "old.jsonl"
+    lines = [
+        {"type": "meta", "trace_version": 1},
+        {"type": "record", "t": 0.5, "cat": "phy.tx",
+         "fields": {"frame": 7, "src": 1, "dst": 2, "size": 10, "kind": 0, "cls": "data"}},
+        {"type": "gauges", "t": 1.0, "gauges": {"sim.pending_events": 3}},
+        {"type": "record", "t": 1.5, "cat": "phy.rx", "fields": {"frame": 7, "node": 2, "src": 1}},
+    ]
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    assert [r.category for r in read_trace(path)] == ["phy.tx", "phy.rx"]
+    summary = trace_summary(path)
+    assert summary["records"] == 2
+    assert summary["categories"] == {"phy.tx": 1, "phy.rx": 1}
+    assert LineageIndex.from_trace(path) is not None
+    assert main(["audit", str(path)]) == 0
+    assert "stream (trace replay)" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("seed", [1, 5])

@@ -130,6 +130,29 @@ class TestCli:
         out = capsys.readouterr().out
         assert "phy.tx" in out
 
+    @pytest.mark.parametrize(
+        "artifact, kind, reader",
+        [
+            ({"timeline_version": 1, "kind": "timeline", "times": [], "probes": []},
+             "timeline", "repro timeline"),
+            ({"store_version": 1, "key": "0" * 64, "metrics": {}},
+             "store entry", "repro audit"),
+            ({"format_version": 1, "figure_id": "fig5", "cells": []},
+             "figure result", "repro audit"),
+        ],
+        ids=["timeline", "store-entry", "figure-result"],
+    )
+    def test_stats_names_the_reader_of_other_artifacts(
+        self, tmp_path, capsys, artifact, kind, reader
+    ):
+        path = tmp_path / "artifact.json"
+        path.write_text(json.dumps(artifact))
+        assert main(["stats", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert f"is a {kind}" in captured.err
+        assert reader in captured.err
+        assert captured.out == ""
+
     def test_stats_on_missing_file_fails_cleanly(self, tmp_path, capsys):
         rc = main(["stats", str(tmp_path / "nope.json")])
         assert rc != 0

@@ -14,7 +14,6 @@ from repro.obs import (
     load_timeline,
     save_timeline,
     sparkline,
-    timeline_from_trace_jsonl,
     write_chrome_trace,
 )
 from repro.sim import Simulator
@@ -194,29 +193,6 @@ class TestChromeTrace:
         path.write_text("{}")
         with pytest.raises(ValueError):
             chrome_trace_to_timeline(path)
-
-
-class TestTraceJsonl:
-    def test_gauge_snapshots_become_samples(self, tmp_path):
-        path = tmp_path / "t.jsonl"
-        lines = [
-            {"type": "meta", "trace_version": 1},
-            {"type": "gauges", "t": 0.0, "gauges": {"a": 1.0, "b": 2.0}},
-            {"type": "record", "t": 1.0, "category": "x"},
-            {"type": "gauges", "t": 5.0, "gauges": {"a": 3.0}},
-        ]
-        path.write_text("\n".join(json.dumps(x) for x in lines) + "\n")
-        tl = timeline_from_trace_jsonl(path)
-        assert list(tl.times) == [0.0, 5.0]
-        assert tl.series("a")[1] == [1.0, 3.0]
-        assert tl.series("b")[1] == [2.0, 0.0]  # missing gauge -> 0.0
-        assert tl.interval == 5.0
-
-    def test_trace_without_gauges_raises(self, tmp_path):
-        path = tmp_path / "t.jsonl"
-        path.write_text(json.dumps({"type": "meta", "trace_version": 1}) + "\n")
-        with pytest.raises(ValueError, match="gauge"):
-            timeline_from_trace_jsonl(path)
 
 
 class TestRendering:

@@ -242,6 +242,26 @@ class TestFailureIsolation:
         assert with_daemon(tmp_path / "store", scenario, run_workers=1) >= 1
 
 
+class TestRouteLabels:
+    def test_unserved_methods_cannot_mint_request_series(self, tmp_path):
+        """A method no route serves is labelled ``unknown``, so clients cannot
+        push ``service.requests`` past the registry's per-name series cap."""
+
+        def scenario(client, daemon):
+            for i in range(1030):
+                with pytest.raises(ServiceError) as excinfo:
+                    client._request(f"M{i}", "/api/v1/jobs")
+                assert excinfo.value.code == 405
+            assert client.health()["ok"] is True
+            return daemon.registry
+
+        # read after the daemon stopped: every handler has counted by then
+        registry = with_daemon(tmp_path / "store", scenario)
+        assert len(registry.series("service.requests")) == 2
+        assert registry.value("service.requests", route="unknown", code="405") == 1030
+        assert registry.value("service.requests", route="/healthz", code="200") == 1
+
+
 class TestApiSurface:
     def test_metrics_jobs_runs_and_sse(self, tmp_path):
         def scenario(client, daemon):
