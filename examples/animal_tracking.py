@@ -95,7 +95,7 @@ def main() -> None:
             node = parents[0]
             hops += 1
 
-    merged = tracer.value("diffusion.items_aggregated")
+    merged = tracer.registry.value("diffusion.items_aggregated")
     print(f"\nevents merged into aggregates in-network: {merged}")
 
 

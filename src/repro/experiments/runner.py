@@ -140,6 +140,9 @@ class World:
     config: ExperimentConfig
     sim: Simulator
     tracer: Tracer
+    #: the shared medium; ``channel.publish_counters()`` after ``sim.run``
+    #: puts the PHY and MAC counters into ``tracer``'s registry
+    channel: Channel
     field: SensorField
     nodes: list[Node]
     agents: list[DiffusionAgent]
@@ -249,7 +252,7 @@ def build_world(
         )
 
     world = World(
-        cfg, sim, tracer, field, nodes, agents, sources, sinks, metrics, driver,
+        cfg, sim, tracer, channel, field, nodes, agents, sources, sinks, metrics, driver,
         field_cache_hit=cache_hit,
     )
     if cfg.scheme == "omniscient":
@@ -425,10 +428,9 @@ def run_observed(
             energy_by_class["idle"] = energy_by_class.get("idle", 0.0) + idle
     energy_by_class = {cls: energy_by_class[cls] for cls in sorted(energy_by_class)}
 
-    # Publish the channel's per-class frame counts as labeled registry
-    # counters so they appear in the counters snapshot below.
-    if world.nodes:
-        world.nodes[0].radio.channel.flush_class_counters()
+    # The PHY and MAC count in plain ints during the run; publish them
+    # so they appear in the counters snapshot below.
+    world.channel.publish_counters()
 
     metrics = world.metrics
     distinct = metrics.total_distinct_delivered()
@@ -458,9 +460,7 @@ def run_observed(
         total_energy_j=total_energy,
         distinct_delivered=distinct,
         events_sent=sent,
-        mean_degree=world.field.mean_degree(
-            range_m=world.nodes[0].radio.channel.model.reach_m
-        ),
+        mean_degree=world.field.mean_degree(range_m=world.channel.model.reach_m),
         counters=dict(tracer.counters),
         energy_by_class=energy_by_class,
         time_to_first_death=min(first_deaths) if first_deaths else None,

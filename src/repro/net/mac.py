@@ -97,6 +97,25 @@ class CsmaMac:
         self._tx_by_node = (
             registry.counter("mac.tx", node=str(radio.node_id)) if registry.detailed else None
         )
+        # Counters that fire once per frame or once per receiver are
+        # plain ints; Channel.publish_counters() sums them over the
+        # channel's MACs into the registry (see counts()).
+        self.n_tx = 0
+        self.n_rx = 0
+        self.n_defer = 0
+        self.n_acked = 0
+        self.n_ack_tx = 0
+        radio.channel.macs.append(self)
+
+    def counts(self) -> dict[str, int]:
+        """This MAC's plain-int counters, by registry counter name."""
+        return {
+            "mac.tx": self.n_tx,
+            "mac.rx": self.n_rx,
+            "mac.defer": self.n_defer,
+            "mac.acked": self.n_acked,
+            "mac.ack_tx": self.n_ack_tx,
+        }
 
     # ------------------------------------------------------------------
     # transmit path
@@ -156,14 +175,14 @@ class CsmaMac:
             return
         if self.radio.medium_busy():
             # Medium busy: double the window and re-contend after it frees.
-            self.tracer.count("mac.defer")
+            self.n_defer += 1
             self._cw = min(self._cw * 2, self.params.cw_max)
             wait = max(self.radio.busy_until - self.sim.now, 0.0)
             self._pending = self.sim.schedule(wait + self._jitter(), self._backoff_now)
             return
         frame = self._current
         duration = self.radio.start_tx(frame)
-        self.tracer.count("mac.tx")
+        self.n_tx += 1
         if self._tx_by_node is not None:
             self._tx_by_node.inc()
         self.sim.schedule(duration, self._tx_done)
@@ -234,7 +253,7 @@ class CsmaMac:
             return  # overheard unicast for someone else (energy already paid)
         if frame.dst == self.radio.node_id:
             self._send_ack(frame)
-        self.tracer.count("mac.rx")
+        self.n_rx += 1
         if self.receive_callback is not None:
             self.receive_callback(frame.payload, frame.src)
 
@@ -247,7 +266,7 @@ class CsmaMac:
             and self._ack_timer is not None
             and ack.payload == current.frame_id
         ):
-            self.tracer.count("mac.acked")
+            self.n_acked += 1
             self._complete()
 
     def _send_ack(self, frame: Frame) -> None:
@@ -261,4 +280,4 @@ class CsmaMac:
             self.tracer.count("mac.ack_skipped")
             return
         self.radio.start_tx(ack)
-        self.tracer.count("mac.ack_tx")
+        self.n_ack_tx += 1

@@ -108,10 +108,21 @@ def _fanout_start(arrivals: list) -> None:
         receiver.arrival_start(arrival)
 
 
-def _fanout_end(arrivals: list) -> None:
-    """Finish reception of one frame at every in-range receiver."""
+def _fanout_end(arrivals: list, tracer: Tracer) -> None:
+    """Finish reception of one frame at every in-range receiver.
+
+    Whether anyone records ``phy.rx`` is asked once per frame, not once
+    per receiver.
+    """
+    record_rx = tracer.wants("phy.rx")
     for receiver, arrival in arrivals:
-        receiver.arrival_end(arrival)
+        receiver.arrival_end(arrival, record_rx)
+
+
+def _top_up(counter, total: int) -> None:
+    """Raise a registry counter to ``total`` (never lowers it)."""
+    if total > counter.value:
+        counter.inc(total - counter.value)
 
 
 class Channel:
@@ -150,32 +161,61 @@ class Channel:
         self._frame_bytes = tracer.registry.histogram(
             "radio.frame_bytes", buckets=(10, 36, 64, 128, 256, 512)
         )
-        # Per-message-class tx/rx frame counts.  Cardinality is bounded by
-        # MESSAGE_CLASSES (~9).  The hot path pays a plain dict increment
-        # per frame; flush_class_counters() materializes the totals into
-        # labeled registry counters at end of run (a labeled-counter inc
-        # per frame is measurable at PHY fan-out rates).
+        # The PHY counts in plain ints, because a registry counter bump
+        # per receiver per frame is measurable at fan-out rates;
+        # publish_counters() copies the totals into the registry.
+        # Per-message-class tx/rx frame counts (cardinality bounded by
+        # MESSAGE_CLASSES, ~9); their sums are radio.tx and radio.rx.
         self._tx_class_counts: dict[str, int] = {}
         self._rx_class_counts: dict[str, int] = {}
+        #: ``radio.tx_bytes``: bytes put on the air
+        self.n_tx_bytes = 0
+        #: ``radio.collision``: arrivals corrupted by an overlap
+        self.n_collision = 0
+        #: ``radio.halfduplex_loss``: frames missed by a transmitting receiver
+        self.n_halfduplex_loss = 0
+        #: ``radio.sinr_loss``: frames that failed the SINR capture test
+        self.n_sinr_loss = 0
+        #: MACs on this channel's radios (each CsmaMac appends itself);
+        #: publish_counters() sums their counters
+        self.macs: list = []
 
-    def flush_class_counters(self) -> None:
-        """Publish per-class frame counts as labeled registry counters.
+    def publish_counters(self) -> None:
+        """Publish the PHY and MAC counters to the registry.
 
-        Creates/updates ``radio.tx_class{cls=...}`` and
-        ``radio.rx_class{cls=...}``.  Idempotent: each call tops the
-        counters up to the accumulated totals, so calling it again after
-        more traffic (or twice at end of run) never double-counts.
+        Tops up the unlabelled ``radio.*`` counters from this channel's
+        fields and per-class counts, the ``mac.*`` counters from the sum
+        over :attr:`macs`, and the ``radio.tx_class{cls=...}`` /
+        ``radio.rx_class{cls=...}`` series.  A counter that never fired
+        stays unregistered, as if it had been counted per event.
+
+        Idempotent: each call raises the counters to the accumulated
+        totals, so a second call, with or without traffic in between,
+        never double-counts.  :func:`~repro.experiments.runner.run_observed`
+        calls it after the run; a caller that drives ``sim.run`` itself
+        calls it before reading these counters from the registry.
         """
+        totals = {
+            "radio.tx": sum(self._tx_class_counts.values()),
+            "radio.tx_bytes": self.n_tx_bytes,
+            "radio.rx": sum(self._rx_class_counts.values()),
+            "radio.collision": self.n_collision,
+            "radio.halfduplex_loss": self.n_halfduplex_loss,
+            "radio.sinr_loss": self.n_sinr_loss,
+        }
+        for mac in self.macs:
+            for name, n in mac.counts().items():
+                totals[name] = totals.get(name, 0) + n
         counter = self.tracer.registry.counter
+        for name, n in totals.items():
+            if n:
+                _top_up(counter(name), n)
         for name, counts in (
             ("radio.tx_class", self._tx_class_counts),
             ("radio.rx_class", self._rx_class_counts),
         ):
             for cls in sorted(counts):
-                c = counter(name, cls=cls)
-                n = counts[cls]
-                if n > c.value:
-                    c.inc(n - c.value)
+                _top_up(counter(name, cls=cls), counts[cls])
 
     def register(self, radio: "Radio") -> None:
         if radio.node_id in self.radios:
@@ -305,8 +345,7 @@ class Channel:
         sim = self.sim
         now = sim.now
         tracer = self.tracer
-        tracer.count("radio.tx")
-        tracer.count("radio.tx_bytes", frame.size)
+        self.n_tx_bytes += frame.size
         self._frame_bytes.observe(frame.size)
         cls = frame.msg_class
         counts = self._tx_class_counts
@@ -353,7 +392,9 @@ class Channel:
             # exactly (it differs from arrival.end by an ULP on some
             # inputs, and event timestamps feed tie-breaking and MAC
             # timing).
-            sim.schedule_cohort_at(now + (prop + duration), n, _fanout_end, arrivals)
+            sim.schedule_cohort_at(
+                now + (prop + duration), n, _fanout_end, arrivals, tracer
+            )
         return duration
 
 
@@ -419,7 +460,8 @@ class Radio:
 
     def medium_busy(self) -> bool:
         """Carrier sense: energy on the channel or our own transmission."""
-        return self.sim.now < self.busy_until or self.transmitting
+        now = self.sim.now
+        return now < self.busy_until or now < self.tx_until
 
     def start_tx(self, frame: Frame) -> float:
         """Transmit ``frame``; returns its air time."""
@@ -438,10 +480,10 @@ class Radio:
         if end > self.busy_until:
             self.busy_until = end
         self.energy.note_rx(arrival.start, end - arrival.start, arrival.cls)
-        if self.transmitting:
+        if self.sim.now < self.tx_until:
             # Half duplex: we miss frames that arrive while we transmit.
             arrival.corrupted = True
-            self.tracer.count("radio.halfduplex_loss")
+            self.channel.n_halfduplex_loss += 1
         if self._capture:
             # SINR capture: no pairwise corruption — advance this band's
             # running power sum and raise the watermark of every same-band
@@ -460,17 +502,23 @@ class Radio:
         active = self._active
         if active:
             # Overlap with another in-flight frame: everyone is corrupted.
-            tracer = self.tracer
+            hit = 0
             for other in active:
                 if not other.corrupted:
                     other.corrupted = True
-                    tracer.count("radio.collision")
+                    hit += 1
             if not arrival.corrupted:
                 arrival.corrupted = True
-                tracer.count("radio.collision")
+                hit += 1
+            self.channel.n_collision += hit
         active.append(arrival)
 
-    def arrival_end(self, arrival: _Arrival) -> None:
+    def arrival_end(self, arrival: _Arrival, record_rx: bool) -> None:
+        """Finish one arrival; a clean one is counted and delivered.
+
+        ``record_rx`` says whether to emit a ``phy.rx`` record (the
+        fan-out asks the tracer once per frame).
+        """
         try:
             self._active.remove(arrival)
         except ValueError:
@@ -479,26 +527,24 @@ class Radio:
             self._interf[arrival.band] -= arrival.rx_mw
         if arrival.corrupted or not self.up:
             return
-        if self.transmitting:
+        if self.sim.now < self.tx_until:
             # Started transmitting mid-reception (should be rare given
             # carrier sense, but possible with zero-backoff ACKs).
-            self.tracer.count("radio.halfduplex_loss")
+            self.channel.n_halfduplex_loss += 1
             return
         if self._capture:
             ch = self.channel
             if arrival.rx_mw < ch._thr * (ch._noise_mw + (arrival.smax - arrival.rx_mw)):
-                self.tracer.count("radio.sinr_loss")
+                ch.n_sinr_loss += 1
                 return
-        tracer = self.tracer
-        tracer.count("radio.rx")
         counts = self._rx_class_counts
         cls = arrival.cls
         try:
             counts[cls] += 1
         except KeyError:
             counts[cls] = 1
-        if tracer.wants("phy.rx"):
-            tracer.record(
+        if record_rx:
+            self.tracer.record(
                 "phy.rx",
                 frame=arrival.frame.frame_id,
                 node=self.node_id,

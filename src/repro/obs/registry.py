@@ -19,10 +19,10 @@ Series model (Prometheus-flavored, but in-process):
   the edge list is part of the family contract and a mismatch is an
   error.
 
-``snapshot()`` renders everything as JSON-friendly dicts (used by trace
-gauge snapshots and run manifests); ``counters_flat()`` renders counter
-series under their flat ``name{k=v}`` keys, which is the representation
-:class:`~repro.experiments.metrics.RunMetrics` stores.
+``snapshot()`` renders everything as JSON-friendly dicts (used by run
+manifests and the service's ``/metrics`` endpoint); ``counters_flat()``
+renders counter series under their flat ``name{k=v}`` keys, which is the
+representation :class:`~repro.experiments.metrics.RunMetrics` stores.
 """
 
 from __future__ import annotations

@@ -404,10 +404,12 @@ def install_standard_probes(
         )
 
     if tracer is not None:
-        value = tracer.value
+        # The channel counts collisions in a plain int and publishes it
+        # to the registry only after the run, so read the live field.
+        channel = nodes[0].radio.channel if nodes else None
         reg(
             "mac.collisions",
-            lambda: int(value("radio.collision")),
+            lambda: channel.n_collision if channel is not None else 0,
             "int",
             "cumulative channel collisions",
         )

@@ -24,7 +24,12 @@ the air turns into heap traffic here):
   never compared.
 * :meth:`Simulator.pending_count` is O(1): cancellations are counted as
   they happen (see :meth:`ScheduledEvent.cancel`) instead of scanning the
-  heap, because trace snapshots read it on every tick.
+  heap, because the ``sim.pending_events`` timeline probe reads it on
+  every sample and the profiler's sampler thread on every stack sample.
+* :attr:`Simulator.now` is a plain attribute, not a property: the PHY
+  reads it once per receiver per frame, where a property call is
+  measurable.  Only :meth:`Simulator.run` and :meth:`Simulator.step`
+  write it.
 * **Event cohorts** — a batch of homogeneous logical events that share a
   timestamp (e.g. one frame's arrival at every in-range receiver) can be
   scheduled as a *single* heap entry via :meth:`Simulator.schedule_cohort`
@@ -125,7 +130,8 @@ class Simulator:
     """
 
     def __init__(self) -> None:
-        self._now: float = 0.0
+        #: current virtual time in seconds (written only by run()/step())
+        self.now: float = 0.0
         #: pending events as (time, seq, event) tuples (cheap C comparison)
         self._heap: list[tuple[float, int, ScheduledEvent]] = []
         self._seq: int = 0
@@ -141,14 +147,6 @@ class Simulator:
         self.compaction_swept: int = 0
 
     # ------------------------------------------------------------------
-    # clock
-    # ------------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        """Current virtual time in seconds."""
-        return self._now
-
-    # ------------------------------------------------------------------
     # scheduling
     # ------------------------------------------------------------------
     def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> ScheduledEvent:
@@ -158,13 +156,13 @@ class Simulator:
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        return self.schedule_at(self._now + delay, fn, *args)
+        return self.schedule_at(self.now + delay, fn, *args)
 
     def schedule_at(self, time: float, fn: Callable[..., Any], *args: Any) -> ScheduledEvent:
         """Schedule ``fn(*args)`` at absolute virtual time ``time``."""
-        if time < self._now:
+        if time < self.now:
             raise SimulationError(
-                f"cannot schedule at t={time} before current time t={self._now}"
+                f"cannot schedule at t={time} before current time t={self.now}"
             )
         ev = ScheduledEvent(time, fn, args, self)
         self._seq += 1
@@ -184,15 +182,15 @@ class Simulator:
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        return self.schedule_cohort_at(self._now + delay, count, fn, *args)
+        return self.schedule_cohort_at(self.now + delay, count, fn, *args)
 
     def schedule_cohort_at(
         self, time: float, count: int, fn: Callable[..., Any], *args: Any
     ) -> ScheduledEvent:
         """Absolute-time variant of :meth:`schedule_cohort`."""
-        if time < self._now:
+        if time < self.now:
             raise SimulationError(
-                f"cannot schedule at t={time} before current time t={self._now}"
+                f"cannot schedule at t={time} before current time t={self.now}"
             )
         if count < 1:
             raise SimulationError(f"cohort count must be >= 1 (got {count})")
@@ -227,12 +225,12 @@ class Simulator:
                     self.cancelled_skipped += 1
                     self._cancelled_pending -= 1
                     continue
-                self._now = time
+                self.now = time
                 ev.fired = True
                 self.events_processed += ev.count
                 ev.fn(*ev.args)
-            if until is not None and self._now < until and not self._stopped:
-                self._now = until
+            if until is not None and self.now < until and not self._stopped:
+                self.now = until
         finally:
             self._running = False
 
@@ -245,7 +243,7 @@ class Simulator:
                 self.cancelled_skipped += 1
                 self._cancelled_pending -= 1
                 continue
-            self._now = time
+            self.now = time
             ev.fired = True
             self.events_processed += ev.count
             ev.fn(*ev.args)
@@ -310,4 +308,4 @@ class Simulator:
         return None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Simulator t={self._now:.6f} pending={len(self._heap)}>"
+        return f"<Simulator t={self.now:.6f} pending={len(self._heap)}>"

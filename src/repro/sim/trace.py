@@ -4,10 +4,15 @@ A :class:`Tracer` is attached to a simulation and collects two kinds of
 observations:
 
 * **metrics** — cheap typed statistics backed by a
-  :class:`~repro.obs.registry.MetricsRegistry`.  ``tracer.count()`` is
-  kept as the thin compatibility shim every protocol layer already uses;
-  call sites needing gauges, histograms, or labels reach the registry
-  directly (``tracer.registry.histogram("agg.merge_size")``).
+  :class:`~repro.obs.registry.MetricsRegistry`.  ``tracer.count()`` bumps
+  an unlabelled registry counter; the protocol layers (diffusion, greedy,
+  node) and the MAC's rare paths (drops, retries) use it.  The
+  per-receiver and per-frame PHY/MAC counters never reach it: they are
+  plain ints that :meth:`~repro.net.radio.Channel.publish_counters`
+  copies into the registry after the run.  Reads, and call sites
+  needing gauges, histograms, or labels, go to the registry directly
+  (``tracer.registry.value("mac.retry")``,
+  ``tracer.registry.histogram("agg.merge_size")``).
 * **records** — optional structured trace entries (time, category,
   fields), enabled per category, used by tests, the CLI's trace export,
   and offline analysis.  Disabled categories cost one set lookup per
@@ -81,21 +86,18 @@ class Tracer:
         self._counter_cache: dict[str, Any] = {}
 
     # ------------------------------------------------------------------
-    # counters (compatibility shim over the registry)
+    # counters (a thin front over the registry)
     # ------------------------------------------------------------------
     def count(self, key: str, n: int = 1) -> None:
-        """Increment the unlabelled registry counter ``key`` by ``n``."""
+        """Increment the unlabelled registry counter ``key`` by ``n``.
+
+        The counter is created on first use, so a key that never fires
+        never appears in :attr:`counters`.
+        """
         c = self._counter_cache.get(key)
         if c is None:
             c = self._counter_cache[key] = self.registry.counter(key)
         c.inc(n)
-
-    def value(self, key: str) -> int:
-        """Current value of a counter (0 if never incremented)."""
-        c = self._counter_cache.get(key)
-        if c is not None:
-            return c.value
-        return self.registry.value(key)
 
     @property
     def counters(self):

@@ -19,9 +19,9 @@ class TestSinkDecision:
         w.attach_agents(GreedyAgent, params=PARAMS, sources=[0], sink=1)
         # The first exploratory arrives around t~0.1; T_p = 1 s.
         w.run(until=0.8)
-        assert w.tracer.value("diffusion.reinforcement_sent") == 0
+        assert w.tracer.registry.value("diffusion.reinforcement_sent") == 0
         w.run(until=2.5)
-        assert w.tracer.value("diffusion.reinforcement_sent") >= 1
+        assert w.tracer.registry.value("diffusion.reinforcement_sent") >= 1
 
     def test_decision_picks_lowest_cost_not_first(self):
         w = MiniWorld(chain_positions(1))
@@ -34,8 +34,8 @@ class TestSinkDecision:
         w = MiniWorld(chain_positions(2))
         w.attach_agents(GreedyAgent, params=PARAMS, sources=[0], sink=1)
         w.run(until=6.0)
-        rounds = w.tracer.value("diffusion.exploratory_at_sink")
-        sent = w.tracer.value("diffusion.reinforcement_sent")
+        rounds = w.tracer.registry.value("diffusion.exploratory_at_sink")
+        sent = w.tracer.registry.value("diffusion.reinforcement_sent")
         assert sent <= rounds
 
 
@@ -46,7 +46,7 @@ class TestIncrementalCostGeneration:
         agent.source_for[1] = object()  # pretend source for interest 1
         msg = ExploratoryEvent(1, 99, 1, 3.0, 0.0)
         agent.on_exploratory_first(msg, from_id=5)
-        assert w.tracer.value("greedy.ic_originated") == 0
+        assert w.tracer.registry.value("greedy.ic_originated") == 0
 
     def test_on_tree_source_advertises_cost_e(self):
         w = MiniWorld(chain_positions(2))
@@ -57,7 +57,7 @@ class TestIncrementalCostGeneration:
         agent.node.send = lambda msg, dst, size: sent.append((msg, dst)) or True
         msg = ExploratoryEvent(1, 99, 1, 3.5, 0.0)
         agent.on_exploratory_first(msg, from_id=1)
-        assert w.tracer.value("greedy.ic_originated") == 1
+        assert w.tracer.registry.value("greedy.ic_originated") == 1
         ic, _dst = sent[0]
         assert isinstance(ic, IncrementalCostMsg)
         assert ic.cost == 3.5  # C starts at the source's own E
@@ -69,7 +69,7 @@ class TestIncrementalCostGeneration:
         w.run(until=3.0)
         relay = agents[1]
         relay.on_exploratory_first(ExploratoryEvent(2, 99, 1, 2.0, 0.0), from_id=0)
-        assert w.tracer.value("greedy.ic_originated") == 0
+        assert w.tracer.registry.value("greedy.ic_originated") == 0
 
 
 class TestIncrementalCostRouting:
@@ -123,7 +123,7 @@ class TestIncrementalCostRouting:
             IncrementalCostMsg(2, (2, 99, 1), origin_source=50, cost=4.0), from_id=0
         )
         assert sent == []
-        assert w.tracer.value("greedy.ic_off_tree") == 1
+        assert w.tracer.registry.value("greedy.ic_off_tree") == 1
 
     def test_ic_recorded_for_reinforcement_choice(self):
         w, relay = self._on_tree_relay()
@@ -179,7 +179,7 @@ class TestGreedyTreeConstruction:
         w = MiniWorld(positions)
         w.attach_agents(GreedyAgent, params=PARAMS, sources=[0, 4], sink=3)
         w.run(until=20.0)
-        assert w.tracer.value("diffusion.items_aggregated") > 0
+        assert w.tracer.registry.value("diffusion.items_aggregated") > 0
 
 
 class TestEnergyCostConvention:

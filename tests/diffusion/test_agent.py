@@ -44,8 +44,8 @@ class TestInterestPropagation:
         w.run(until=3.0)
         # Each refresh is forwarded at most once per node: forwarded count
         # is bounded by refreshes x non-sink nodes.
-        refreshes = w.tracer.value("diffusion.interest_originated")
-        assert w.tracer.value("diffusion.interest_forwarded") <= refreshes * 2
+        refreshes = w.tracer.registry.value("diffusion.interest_originated")
+        assert w.tracer.registry.value("diffusion.interest_forwarded") <= refreshes * 2
 
 
 class TestSourceActivation:
@@ -53,7 +53,7 @@ class TestSourceActivation:
         w = chain_world(4, sources=[0], sink=3)
         w.run(until=3.0)
         assert 3 in w.agents[0].source_for
-        assert w.tracer.value("diffusion.source_activated") == 1
+        assert w.tracer.registry.value("diffusion.source_activated") == 1
 
     def test_non_matching_nodes_stay_quiet(self):
         w = chain_world(4, sources=[0], sink=3)
@@ -64,20 +64,20 @@ class TestSourceActivation:
     def test_source_emits_exploratory_events(self):
         w = chain_world(4, sources=[0], sink=3)
         w.run(until=5.0)
-        assert w.tracer.value("diffusion.exploratory_originated") >= 1
+        assert w.tracer.registry.value("diffusion.exploratory_originated") >= 1
 
     def test_source_stops_when_interest_stale(self):
         w = chain_world(4, sources=[0], sink=3)
         w.run(until=3.0)
-        gen_before = w.tracer.value("diffusion.item_generated")
+        gen_before = w.tracer.registry.value("diffusion.item_generated")
         assert gen_before > 0
         # Kill the sink: no more refreshes; generation must cease after
         # the gradient timeout.
         w.nodes[3].fail()
         w.run(until=3.0 + PARAMS.gradient_timeout + 3.0)
-        settled = w.tracer.value("diffusion.item_generated")
+        settled = w.tracer.registry.value("diffusion.item_generated")
         w.run(until=3.0 + PARAMS.gradient_timeout + 6.0)
-        assert w.tracer.value("diffusion.item_generated") == settled
+        assert w.tracer.registry.value("diffusion.item_generated") == settled
 
 
 class TestDataDelivery:
@@ -124,7 +124,7 @@ class TestAggregationInNetwork:
             OpportunisticAgent, params=PARAMS, metrics=metrics, sources=[0, 1], sink=3
         )
         w.run(until=12.0)
-        assert w.tracer.value("diffusion.items_aggregated") > 0
+        assert w.tracer.registry.value("diffusion.items_aggregated") > 0
         assert metrics.delivery_ratio() > 0.7
 
     def test_relay_forwards_immediately_without_junction(self):
@@ -132,7 +132,7 @@ class TestAggregationInNetwork:
         metrics = MetricsCollector(warmup_end=0.0)
         w = chain_world(4, sources=[0], sink=3, metrics=metrics)
         w.run(until=10.0)
-        assert w.tracer.value("diffusion.flushes") == 0
+        assert w.tracer.registry.value("diffusion.flushes") == 0
 
 
 class TestRobustness:
@@ -159,6 +159,6 @@ class TestRobustness:
         w = chain_world(4, sources=[0], sink=3, metrics=metrics)
         w.run(until=3.0)
         w.nodes[0].fail()
-        before = w.tracer.value("diffusion.item_generated")
+        before = w.tracer.registry.value("diffusion.item_generated")
         w.run(until=6.0)
-        assert w.tracer.value("diffusion.item_generated") == before
+        assert w.tracer.registry.value("diffusion.item_generated") == before

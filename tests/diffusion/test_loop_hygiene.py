@@ -36,7 +36,7 @@ class TestUsableOutlets:
         # 7 has recently been sending us data for this interest -> loop.
         agent._note_source(1, 7)
         assert agent._usable_outlets(1) == []
-        assert w.tracer.value("diffusion.loop_outlet_skipped") == 1
+        assert w.tracer.registry.value("diffusion.loop_outlet_skipped") == 1
 
     def test_two_way_edge_expires_with_recency_window(self):
         w, agent = lone_agent()
@@ -65,7 +65,7 @@ class TestDeadEndNegative:
         msg = aggregate(1, [DataItem(5, 1, 0.0)])
         agent._handle_aggregate(msg, from_id=9)
         assert ("NegativeReinforcementMsg", 9) in sent
-        assert w.tracer.value("diffusion.data_no_gradient") == 1
+        assert w.tracer.registry.value("diffusion.data_no_gradient") == 1
 
     def test_dead_end_rate_limited(self):
         w, agent = lone_agent()
@@ -81,7 +81,7 @@ class TestDeadEndNegative:
         w = MiniWorld(chain_positions(2))
         agents = w.attach_agents(OpportunisticAgent, params=PARAMS, sources=[0], sink=1)
         w.run(until=5.0)
-        assert w.tracer.value("diffusion.dead_end_negative") == 0
+        assert w.tracer.registry.value("diffusion.dead_end_negative") == 0
 
 
 class TestSourceRepair:
@@ -95,10 +95,10 @@ class TestSourceRepair:
         table = agents[0].gradients[2]
         for neighbor in list(table.data_neighbors(w.sim.now)):
             table.degrade(neighbor)
-        before = w.tracer.value("diffusion.exploratory_originated")
+        before = w.tracer.registry.value("diffusion.exploratory_originated")
         w.run(until=6.0)
-        assert w.tracer.value("diffusion.repair_exploratory") >= 1
-        assert w.tracer.value("diffusion.exploratory_originated") > before
+        assert w.tracer.registry.value("diffusion.repair_exploratory") >= 1
+        assert w.tracer.registry.value("diffusion.exploratory_originated") > before
         # Repair re-established delivery: the source has a data gradient.
         assert agents[0].gradients[2].has_data_gradient(w.sim.now)
 
@@ -114,4 +114,4 @@ class TestSourceRepair:
     def test_non_source_never_repairs(self):
         _w, agent = lone_agent()
         agent._request_repair(1)  # not a source for interest 1
-        assert agent.tracer.value("diffusion.repair_exploratory") == 0
+        assert agent.tracer.registry.value("diffusion.repair_exploratory") == 0

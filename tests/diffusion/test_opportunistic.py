@@ -74,7 +74,7 @@ class TestSinkReinforcement:
         w = MiniWorld(chain_positions(2))
         w.attach_agents(OpportunisticAgent, params=PARAMS, sources=[0], sink=1)
         w.run(until=2.0)
-        assert w.tracer.value("diffusion.reinforcement_sent") >= 1
+        assert w.tracer.registry.value("diffusion.reinforcement_sent") >= 1
         # The source's gradient toward the sink is a data gradient.
         assert w.agents[0].gradients[1].has_data_gradient(w.sim.now)
 
@@ -83,5 +83,5 @@ class TestSinkReinforcement:
         w.attach_agents(OpportunisticAgent, params=PARAMS, sources=[0], sink=1)
         w.run(until=2.0)
         # One reinforcement per exploratory round, not per received copy.
-        rounds = w.tracer.value("diffusion.exploratory_originated")
-        assert w.tracer.value("diffusion.reinforcement_sent") <= rounds + 1
+        rounds = w.tracer.registry.value("diffusion.exploratory_originated")
+        assert w.tracer.registry.value("diffusion.reinforcement_sent") <= rounds + 1

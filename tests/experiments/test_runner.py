@@ -119,6 +119,28 @@ class TestRunExperiment:
         assert r.distinct_delivered > 0
 
 
+class TestPublishCounters:
+    """The PHY and MAC count in plain ints; ``Channel.publish_counters``
+    puts them in the registry, for ``run_observed`` and for a caller
+    that drives ``build_world`` + ``sim.run`` itself."""
+
+    def test_bare_run_publishes_what_run_experiment_reports(self):
+        w = build_world(cfg())
+        w.sim.run(until=w.config.duration)
+        assert "radio.rx" not in w.tracer.counters
+        assert "mac.tx" not in w.tracer.counters
+        w.channel.publish_counters()
+        assert dict(w.tracer.counters) == run_experiment(cfg()).counters
+
+    def test_publishing_twice_leaves_counters_unchanged(self):
+        w = build_world(cfg())
+        w.sim.run(until=w.config.duration)
+        w.channel.publish_counters()
+        first = dict(w.tracer.counters)
+        w.channel.publish_counters()
+        assert dict(w.tracer.counters) == first
+
+
 class TestEnergyAccountingGuards:
     def test_warmup_at_or_past_duration_rejected_at_config(self):
         # Silent-zero energy bug: if the warmup snapshot never fired, the

@@ -54,6 +54,11 @@ class TestRunnerIntegration:
         # the closing sample reflects the finished run
         _, delivered = tl.series("data.delivered")
         assert delivered[-1] > 0
+        # the collision probe reads the channel's live count, which the
+        # run publishes to the registry only after the last sample
+        _, collisions = tl.series("mac.collisions")
+        assert collisions[-1] == observed.metrics.counters.get("radio.collision", 0)
+        assert collisions[-1] > 0
 
     def test_no_timeline_by_default(self):
         observed = run_observed(cfg(), ObsOptions(profile=True))

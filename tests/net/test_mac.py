@@ -38,7 +38,8 @@ class TestBroadcast:
         sim, tracer, macs, _ = make_net(2)
         macs[0].send("x", BROADCAST, 64)
         sim.run()
-        assert tracer.value("mac.ack_tx") == 0
+        macs[0].radio.channel.publish_counters()
+        assert tracer.registry.value("mac.ack_tx") == 0
 
     def test_queue_drains_in_order(self):
         sim, _tr, macs, _ = make_net(2)
@@ -55,7 +56,7 @@ class TestBroadcast:
         accepted = [macs[0].send(i, BROADCAST, 64) for i in range(5)]
         # One frame may already be in service; the queue holds 2 more.
         assert accepted.count(False) >= 1
-        assert tracer.value("mac.drop_queue") >= 1
+        assert tracer.registry.value("mac.drop_queue") >= 1
         sim.run()
 
 
@@ -66,8 +67,9 @@ class TestUnicast:
         macs[1].receive_callback = lambda p, f: got.append((p, f))
         macs[0].send("data", 1, 64)
         sim.run()
+        macs[0].radio.channel.publish_counters()
         assert got == [("data", 0)]
-        assert tracer.value("mac.acked") == 1
+        assert tracer.registry.value("mac.acked") == 1
 
     def test_unicast_for_other_node_ignored(self):
         sim, _tr, macs, _ = make_net(3, spacing=20.0)
@@ -81,8 +83,8 @@ class TestUnicast:
         sim, tracer, macs, _ = make_net(2, spacing=100.0)  # out of range
         macs[0].send("data", 1, 64)
         sim.run()
-        assert tracer.value("mac.drop_retry") == 1
-        assert tracer.value("mac.retry") == MacParams().retry_limit + 1
+        assert tracer.registry.value("mac.drop_retry") == 1
+        assert tracer.registry.value("mac.retry") == MacParams().retry_limit + 1
 
     def test_drop_then_next_frame_sent(self):
         sim, _tr, macs, _ = make_net(3, spacing=30.0)
@@ -101,7 +103,7 @@ class TestUnicast:
         macs[0].send("data", 1, 64)
         sim.run()
         assert got == ["data"]
-        assert tracer.value("mac.drop_retry") == 0
+        assert tracer.registry.value("mac.drop_retry") == 0
 
 
 class TestCarrierSense:
@@ -137,7 +139,7 @@ class TestFailure:
         sim, tracer, macs, states = make_net(2)
         states[0].up = False
         assert macs[0].send("x", 1, 64) is False
-        assert tracer.value("mac.drop_down") == 1
+        assert tracer.registry.value("mac.drop_down") == 1
         sim.run()
 
     def test_fail_flushes_queue(self):

@@ -84,5 +84,5 @@ class TestFailureModel:
         w = MiniWorld(chain_positions(1))
         w.nodes[0].fail()
         w.nodes[0].recover()
-        assert w.tracer.value("node.fail") == 1
-        assert w.tracer.value("node.recover") == 1
+        assert w.tracer.registry.value("node.fail") == 1
+        assert w.tracer.registry.value("node.recover") == 1

@@ -132,12 +132,13 @@ def test_every_reception_has_a_matching_transmission(tmp_path, seed):
         diffusion=profile.diffusion,
     )
     obs = ObsOptions(trace_path=path, trace_categories=("phy.tx", "phy.rx"))
-    run_observed(cfg, obs)
+    counters = run_observed(cfg, obs).metrics.counters
 
     tx_by_frame: dict[int, dict] = {}
-    rx_count = 0
+    tx_count = rx_count = 0
     for rec in read_trace(path):
         if rec.category == "phy.tx":
+            tx_count += 1
             tx_by_frame[rec.get("frame")] = rec.as_dict()
         else:
             assert rec.category == "phy.rx"
@@ -148,6 +149,11 @@ def test_every_reception_has_a_matching_transmission(tmp_path, seed):
             assert tx["src"] == rec.get("src")
             assert rec.get("node") != tx["src"], "node received its own frame"
     assert rx_count > 0 and len(tx_by_frame) > 0
+    # one record per counted transmission (retries reuse a frame id) and
+    # per counted reception: the once-per-frame phy.rx check and the
+    # totals derived from the per-class counts agree
+    assert tx_count == counters["radio.tx"]
+    assert rx_count == counters["radio.rx"]
 
 
 def test_export_matches_in_memory_records_on_real_run(tmp_path):

@@ -44,8 +44,9 @@ class TestConservation:
             if sender.send(f"p{k}", n_nodes - 1, 64):
                 accepted += 1
         sim.run()
-        acked = tracer.value("mac.acked")
-        dropped = tracer.value("mac.drop_retry")
+        macs[0].radio.channel.publish_counters()
+        acked = tracer.registry.value("mac.acked")
+        dropped = tracer.registry.value("mac.drop_retry")
         assert acked + dropped == accepted
 
     @given(

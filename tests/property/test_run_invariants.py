@@ -19,6 +19,7 @@ def test_whole_run_invariants(seed, scheme):
     cfg = ExperimentConfig.from_profile(smoke(), scheme, 60, seed=seed, n_sources=3)
     world = build_world(cfg)
     world.sim.run(until=cfg.duration)
+    world.channel.publish_counters()
 
     metrics = world.metrics
     # Deliveries only of generated items, each counted once per sink.

@@ -18,18 +18,18 @@ class TestCounters:
         tr.count("mac.tx")
         tr.count("mac.tx")
         tr.count("mac.tx", 3)
-        assert tr.value("mac.tx") == 5
+        assert tr.registry.value("mac.tx") == 5
 
     def test_unknown_counter_is_zero(self):
         _sim, tr = make_tracer()
-        assert tr.value("never") == 0
+        assert tr.registry.value("never") == 0
 
     def test_counters_are_independent(self):
         _sim, tr = make_tracer()
         tr.count("a")
         tr.count("b", 2)
-        assert tr.value("a") == 1
-        assert tr.value("b") == 2
+        assert tr.registry.value("a") == 1
+        assert tr.registry.value("b") == 2
 
 
 class TestRecords:
@@ -129,7 +129,7 @@ class TestRegistryBacking:
     def test_registry_counters_visible_through_value(self):
         _sim, tr = make_tracer()
         tr.registry.counter("direct").inc(7)
-        assert tr.value("direct") == 7
+        assert tr.registry.value("direct") == 7
 
     def test_counters_snapshot_includes_labelled_series(self):
         _sim, tr = make_tracer()
@@ -165,7 +165,7 @@ class TestRecordBounds:
             tr.record("x", i=i)
         assert len(tr.records()) == 2
         assert tr.records_dropped == 3
-        assert tr.value("trace.records_dropped") == 3
+        assert tr.registry.value("trace.records_dropped") == 3
 
     def test_streaming_mode_stores_nothing_but_feeds_listeners(self):
         sim = Simulator()
@@ -179,7 +179,7 @@ class TestRecordBounds:
         assert tr.records() == []
         assert len(seen) == 4
         # pure streaming is expected behaviour, not an overflow signal
-        assert tr.value("trace.records_dropped") == 0
+        assert tr.registry.value("trace.records_dropped") == 0
 
     def test_unbounded_when_explicitly_none(self):
         sim = Simulator()
