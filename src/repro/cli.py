@@ -213,11 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--manifest", metavar="PATH", help="write the run provenance manifest here"
     )
     obs_g.add_argument(
-        "--detailed-metrics",
-        action="store_true",
-        help="enable per-node labelled metric series",
-    )
-    obs_g.add_argument(
         "--audit",
         action="store_true",
         help="run the online invariant auditor; exit 1 on any finding",
@@ -601,7 +596,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         args.profile
         or args.trace_out
         or args.manifest
-        or args.detailed_metrics
         or args.audit
         or args.timeline
         or args.timeline_out
@@ -612,7 +606,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             trace_path=args.trace_out,
             trace_categories=tuple(args.trace_categories),
             manifest_path=args.manifest,
-            detailed_metrics=args.detailed_metrics,
             audit=args.audit,
             timeline=args.timeline,
             timeline_interval=args.timeline_interval,

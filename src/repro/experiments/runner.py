@@ -42,8 +42,6 @@ from ..net.topology import (
     scattered_sink_nodes,
 )
 from ..obs import (
-    DEFAULT_MAX_RECORDS,
-    MetricsRegistry,
     ObsOptions,
     Profiler,
     Timeline,
@@ -182,7 +180,6 @@ def resolve_kernel(kernel: str, n_nodes: int) -> str:
 
 def build_world(
     cfg: ExperimentConfig,
-    obs: Optional[ObsOptions] = None,
     field_cache: Optional[FieldCache] = None,
 ) -> World:
     """Construct the full simulation for one config (without running it).
@@ -194,15 +191,7 @@ def build_world(
     Pass ``field_cache=FieldCache(maxsize=0)`` to force a fresh build.
     """
     sim = Simulator()
-    if obs is not None:
-        tracer = Tracer(
-            lambda: sim.now,
-            registry=MetricsRegistry(detailed=obs.detailed_metrics),
-            # a streamed trace keeps nothing in memory
-            max_records=0 if obs.trace_path is not None else DEFAULT_MAX_RECORDS,
-        )
-    else:
-        tracer = Tracer(lambda: sim.now)
+    tracer = Tracer(lambda: sim.now)
     rngs = RngRegistry(cfg.seed)
     field, cache_hit = cached_field(
         cfg.n_nodes,
@@ -335,7 +324,7 @@ def run_observed(
     :func:`resolve_kernel` and otherwise ignored.
     """
     resolve_kernel(kernel, cfg.n_nodes)
-    world = build_world(cfg, obs, field_cache=field_cache)
+    world = build_world(cfg, field_cache=field_cache)
     sim, tracer = world.sim, world.tracer
 
     writer: Optional[TraceWriter] = None

@@ -15,6 +15,12 @@ floor (35 mW x N x T) is identical across schemes and would flatten the
 comparison, so the experiment harness reports tx+rx by default and exposes
 ``include_idle`` for the full number.
 
+Receive time is charged against a watermark.  The radio reports each
+reception when it starts, in time order, so a reception that overlaps
+the previous one (a collision) bills only its air time past the last
+charged edge, and the meter keeps two floats per node rather than a
+history of intervals.
+
 Every charge additionally carries a **message class** (``"interest"``,
 ``"exploratory"``, ``"data"``, ``"aggregate"``, ``"reinforcement"``, ...;
 see :data:`MESSAGE_CLASSES`) so a run's energy decomposes by protocol
@@ -70,17 +76,19 @@ class EnergyMeter:
     The radio layer calls :meth:`note_tx` / :meth:`note_rx` with frame air
     times.  Idle time is everything else: a node's radio is either
     transmitting, receiving (possibly a corrupted frame — energy is spent
-    either way), or idle-listening.  Concurrent overlapping receptions are
-    merged with a proper interval union, so receive time never exceeds
-    wall-clock time and out-of-order receptions are neither double- nor
-    under-charged.
+    either way), or idle-listening.  Overlapping receptions are merged
+    against the rightmost charged interval ``[_rx_start, _rx_last]``, so
+    receive time never exceeds wall-clock time.  Receptions must be
+    reported in start order: a start before ``_rx_start`` could overlap
+    charged time the meter no longer remembers, so it raises instead of
+    guessing.
     """
 
     __slots__ = (
         "params",
         "tx_time",
         "rx_time",
-        "_rx_intervals",
+        "_rx_start",
         "_rx_last",
         "tx_count",
         "rx_count",
@@ -92,14 +100,9 @@ class EnergyMeter:
         self.params = params
         self.tx_time = 0.0
         self.rx_time = 0.0
-        #: sorted charged receive intervals as a flat edge list
-        #: [s0, e0, s1, e1, ...] — disjoint or touching (the fast path
-        #: appends without coalescing; the slow-path merge coalesces).
-        #: The common in-order case only ever touches the last edge, so
-        #: the merge stays O(1) on the hot path.
-        self._rx_intervals: list[float] = []
-        #: cached rightmost charged edge (== _rx_intervals[-1]), kept as
-        #: a float attribute so the hot path skips the list indexing
+        #: the rightmost charged receive interval [_rx_start, _rx_last];
+        #: a reception starting inside it is billed only past _rx_last
+        self._rx_start = float("-inf")
         self._rx_last = float("-inf")
         self.tx_count = 0
         self.rx_count = 0
@@ -124,38 +127,31 @@ class EnergyMeter:
 
         Only the part of ``[start, start + duration]`` not already covered
         by earlier charges is billed (to class ``cls``), so total receive
-        time stays physical no matter how receptions overlap or in which
-        order they are reported.
+        time stays physical however receptions overlap.  ``start`` must
+        not precede the start of the rightmost charged interval
+        (``ValueError`` otherwise, with nothing charged).
         """
         if duration < 0:
             raise ValueError("negative duration")
         end = start + duration
         last = self._rx_last
         if start >= last:
-            # Fast path: at or past the rightmost charged edge.
+            # At or past the rightmost charged edge: a fresh interval.
             if end <= start:
                 return
-            edges = self._rx_intervals
-            edges.append(start)
-            edges.append(end)
-            self._rx_last = end
+            self._rx_start = start
             charged = end - start
-        elif start >= self._rx_intervals[-2]:
-            # Overlaps only the rightmost interval — what time-ordered
-            # arrival starts (the simulator's only pattern) produce on a
-            # collision.  Charging ``end - last`` here keeps the
-            # arithmetic identical to the historical watermark meter, so
-            # in-order runs stay bit-for-bit reproducible.
+        elif start >= self._rx_start:
+            # Overlaps the rightmost interval, as a collision does.
             if end <= last:
                 return  # entirely inside the already-charged interval
             charged = end - last
-            self._rx_intervals[-1] = end
-            self._rx_last = end
         else:
-            charged = self._merge_interval(start, end)
-            self._rx_last = self._rx_intervals[-1]
-            if charged <= 0.0:
-                return  # entirely inside already-charged intervals
+            raise ValueError(
+                f"reception start {start!r} precedes the charged interval "
+                f"starting at {self._rx_start!r}; report receptions in start order"
+            )
+        self._rx_last = end
         self.rx_time += charged
         self.rx_count += 1
         by_class = self.rx_time_by_class
@@ -163,39 +159,6 @@ class EnergyMeter:
             by_class[cls] += charged
         except KeyError:
             by_class[cls] = charged
-
-    def _merge_interval(self, start: float, end: float) -> float:
-        """Insert ``[start, end]`` into the charged set; return new coverage.
-
-        Out-of-line slow path, only reached when a reception starts before
-        the rightmost already-charged edge (out-of-order reporting) — rare
-        enough that an O(n) rebuild beats clever splicing.
-        """
-        edges = self._rx_intervals
-        pairs = [(edges[i], edges[i + 1]) for i in range(0, len(edges), 2)]
-        covered = 0.0
-        # pairs are disjoint or touching, so clips never double-count
-        for s, e in pairs:
-            lo, hi = max(s, start), min(e, end)
-            if hi > lo:
-                covered += hi - lo
-        new_cov = (end - start) - covered
-        pairs.append((start, end))
-        pairs.sort()
-        merged_s, merged_e = pairs[0]
-        rebuilt: list[float] = []
-        for s, e in pairs[1:]:
-            if s <= merged_e:  # overlapping or touching: coalesce
-                if e > merged_e:
-                    merged_e = e
-            else:
-                rebuilt.append(merged_s)
-                rebuilt.append(merged_e)
-                merged_s, merged_e = s, e
-        rebuilt.append(merged_s)
-        rebuilt.append(merged_e)
-        edges[:] = rebuilt
-        return new_cov
 
     # ------------------------------------------------------------------
     # readout

@@ -92,11 +92,6 @@ class CsmaMac:
         self._queue_depth = registry.histogram(
             "mac.queue_depth", buckets=(0, 1, 2, 4, 8, 16, 32, 64, 128)
         )
-        # Per-node series are opt-in: one labelled counter per node is
-        # fine at paper scale but not free, so it rides the detailed flag.
-        self._tx_by_node = (
-            registry.counter("mac.tx", node=str(radio.node_id)) if registry.detailed else None
-        )
         # Counters that fire once per frame or once per receiver are
         # plain ints; Channel.publish_counters() sums them over the
         # channel's MACs into the registry (see counts()).
@@ -183,8 +178,6 @@ class CsmaMac:
         frame = self._current
         duration = self.radio.start_tx(frame)
         self.n_tx += 1
-        if self._tx_by_node is not None:
-            self._tx_by_node.inc()
         self.sim.schedule(duration, self._tx_done)
 
     def _backoff_now(self) -> None:

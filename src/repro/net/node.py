@@ -86,8 +86,6 @@ class Node:
             self.first_down_at = self.sim.now
         self.mac.fail()
         self.tracer.count("node.fail")
-        if self.tracer.registry.detailed:
-            self.tracer.registry.counter("node.fail", node=str(self.node_id)).inc()
         self.tracer.record("node.fail", node=self.node_id)
 
     def recover(self) -> None:

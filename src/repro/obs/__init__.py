@@ -39,12 +39,7 @@ from .manifest import (
     load_manifest,
     save_manifest,
 )
-from .options import (
-    DEFAULT_MAX_RECORDS,
-    TRACE_CATEGORIES,
-    ObsOptions,
-    known_categories,
-)
+from .options import TRACE_CATEGORIES, ObsOptions
 from .profiler import Profiler, format_profile
 from .timeline import (
     TIMELINE_VERSION,
@@ -103,9 +98,7 @@ __all__ = [
     "iter_trace_lines",
     "trace_summary",
     "ObsOptions",
-    "DEFAULT_MAX_RECORDS",
     "TRACE_CATEGORIES",
-    "known_categories",
     "build_run_manifest",
     "build_figure_manifest",
     "save_manifest",

@@ -329,9 +329,6 @@ class Auditor:
         tracer.enable(*self.categories_needed())
         tracer.add_listener(self.observe)
 
-    def detach(self, tracer: "Tracer") -> None:
-        tracer.remove_listener(self.observe)
-
     def observe(self, rec: "TraceRecord") -> None:
         self.records_seen += 1
         for checker in self.checkers:

@@ -11,10 +11,9 @@ closely to watch it.
 trace category names.  Call sites used to be stringly-typed; now every
 category a kernel layer may emit is declared here with a one-line
 description, ``repro stats --list-categories`` prints the table, and
-:meth:`~repro.sim.trace.Tracer.enable` rejects names that are neither
-declared here nor registered on the tracer (so a typo'd
-``--trace-categories phy.txx`` fails loudly instead of silently
-recording nothing).
+:meth:`~repro.sim.trace.Tracer.enable` rejects names not declared here
+(so a typo'd ``--trace-categories phy.txx`` fails loudly instead of
+silently recording nothing).
 """
 
 from __future__ import annotations
@@ -23,15 +22,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
 
-__all__ = [
-    "ObsOptions",
-    "DEFAULT_MAX_RECORDS",
-    "TRACE_CATEGORIES",
-    "known_categories",
-]
-
-#: default in-memory record bound (see Tracer.max_records)
-DEFAULT_MAX_RECORDS = 262_144
+__all__ = ["ObsOptions", "TRACE_CATEGORIES"]
 
 #: every trace category the kernel can emit, with what one record means.
 #: Grouped by layer; extend this table when adding a ``tracer.record``
@@ -57,20 +48,16 @@ TRACE_CATEGORIES: dict[str, str] = {
 }
 
 
-def known_categories() -> tuple[str, ...]:
-    """All declared trace category names, sorted."""
-    return tuple(sorted(TRACE_CATEGORIES))
-
-
 @dataclass
 class ObsOptions:
     """Observability configuration for one run.
 
-    ``trace_path`` switches the tracer to pure streaming (records go to
-    the JSONL file, not memory); ``detailed_metrics`` unlocks the
-    per-node labelled series that are too high-cardinality to keep on by
-    default; ``audit`` attaches the online invariant auditor
-    (:mod:`repro.obs.audit`) for the whole run.
+    ``trace_path`` streams the enabled record categories to a JSONL
+    file; ``audit`` attaches the online invariant auditor
+    (:mod:`repro.obs.audit`) for the whole run.  Neither keeps records
+    in memory nor adds to the run's counters, so the run's
+    :class:`~repro.experiments.metrics.RunMetrics` is the same with or
+    without them.
     """
 
     #: sample the run's stack and report exclusive wall time per layer
@@ -81,8 +68,6 @@ class ObsOptions:
     trace_categories: tuple[str, ...] = ("*",)
     #: write the run provenance manifest here
     manifest_path: Optional[Union[str, Path]] = None
-    #: enable per-node labelled metric series
-    detailed_metrics: bool = False
     #: attach the online invariant auditor (records findings, not silent corruption)
     audit: bool = False
     #: sample a periodic probe timeline (see :mod:`repro.obs.timeline`)

@@ -11,10 +11,10 @@ Series model (Prometheus-flavored, but in-process):
 * a **name** identifies a family of series of one *kind* (counter, gauge,
   or histogram); registering the same name as a different kind is an
   error;
-* **labels** (``registry.counter("mac.tx", node="17")``) select one
-  series within the family.  Label cardinality is bounded per name
-  (:class:`CardinalityError`) so a typo'd high-cardinality label cannot
-  silently eat memory;
+* **labels** (``registry.counter("radio.tx_class", cls="data")``)
+  select one series within the family.  Label cardinality is bounded
+  per name (:class:`CardinalityError`) so a typo'd high-cardinality
+  label cannot silently eat memory;
 * histograms use **fixed bucket edges** chosen at first registration;
   the edge list is part of the family contract and a mismatch is an
   error.
@@ -206,15 +206,9 @@ def summarize_histogram(
 
 
 class MetricsRegistry:
-    """Instrument factory + store for one simulation run.
+    """Instrument factory + store for one simulation run."""
 
-    ``detailed`` gates optional high-cardinality series (per-node labels);
-    call sites check it once at wiring time so disabled detail costs
-    nothing per event.
-    """
-
-    def __init__(self, detailed: bool = False, max_series_per_name: int = 1024) -> None:
-        self.detailed = detailed
+    def __init__(self, max_series_per_name: int = 1024) -> None:
         self.max_series_per_name = max_series_per_name
         self._series: dict[str, dict[tuple, Any]] = {}
         self._kinds: dict[str, str] = {}

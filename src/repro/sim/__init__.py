@@ -13,7 +13,7 @@ Public surface:
 from .engine import ScheduledEvent, SimulationError, Simulator
 from .rng import RngRegistry, derive_seed
 from .timers import OneShotTimer, PeriodicTimer
-from .trace import DEFAULT_MAX_RECORDS, TraceRecord, Tracer
+from .trace import TraceRecord, Tracer
 
 __all__ = [
     "Simulator",
@@ -23,7 +23,6 @@ __all__ = [
     "PeriodicTimer",
     "Tracer",
     "TraceRecord",
-    "DEFAULT_MAX_RECORDS",
     "RngRegistry",
     "derive_seed",
 ]

@@ -114,6 +114,17 @@ class TestDeterminism:
         timed = run_observed(cfg(), ObsOptions(timeline=True)).metrics
         assert timed == plain
 
+    def test_metrics_identical_with_and_without_audit_on_a_long_run(self):
+        # The tracer keeps no records, so however many the audit sees
+        # (here more than 262,144) the run reports the same counters.
+        config = ExperimentConfig.from_profile(
+            smoke(), "greedy", 350, seed=7919, duration=30.0, warmup=12.0
+        )
+        plain = run_observed(config).metrics
+        audited = run_observed(config, ObsOptions(audit=True))
+        assert audited.audit["records_seen"] > 262_144
+        assert audited.metrics == plain
+
     def test_timeline_identical_with_audit_or_trace(self, tmp_path):
         # an observer schedules no simulator events, so it cannot move the run
         base = run_observed(cfg(), ObsOptions(timeline=True))

@@ -88,38 +88,46 @@ class TestEnergyMeter:
 
 
 class TestOutOfOrderRx:
-    """Regression: the old high-watermark meter mischarged receptions
-    reported out of time order (an early-starting frame arriving after a
-    later one was charged as if it began at the watermark)."""
+    """The meter keeps only the rightmost charged interval, so a reception
+    starting before it raises instead of guessing what it overlaps, and
+    leaves the meter as it was."""
 
-    def test_out_of_order_disjoint_fully_charged(self):
+    def test_start_before_charged_interval_raises(self):
         m = EnergyMeter(EnergyParams())
         m.note_rx(10.0, 1.0)  # [10, 11]
-        m.note_rx(0.0, 1.0)   # [0, 1] — before the watermark
-        # watermark meter would charge 0 for the second frame
+        with pytest.raises(ValueError, match="start order"):
+            m.note_rx(0.0, 1.0)  # [0, 1], disjoint and earlier
+        assert m.rx_time == pytest.approx(1.0)
+
+    def test_left_overlap_raises(self):
+        m = EnergyMeter(EnergyParams())
+        m.note_rx(5.0, 2.0)  # [5, 7]
+        with pytest.raises(ValueError):
+            m.note_rx(4.0, 2.0)  # [4, 6] reaches left of the interval
         assert m.rx_time == pytest.approx(2.0)
+        assert m.rx_count == 1
 
-    def test_out_of_order_partial_overlap(self):
+    def test_raise_leaves_meter_unchanged(self):
         m = EnergyMeter(EnergyParams())
-        m.note_rx(5.0, 2.0)   # [5, 7]
-        m.note_rx(4.0, 2.0)   # [4, 6]: only [4, 5] is new
-        assert m.rx_time == pytest.approx(3.0)
+        m.note_rx(0.0, 1.0, "data")  # [0, 1]
+        m.note_rx(2.0, 1.0, "data")  # [2, 3]
+        before = (m.rx_time, m.rx_count, dict(m.rx_time_by_class))
+        with pytest.raises(ValueError):
+            m.note_rx(0.5, 2.0, "ack")  # [0.5, 2.5] would bridge the gap
+        assert (m.rx_time, m.rx_count, dict(m.rx_time_by_class)) == before
+        m.note_rx(2.5, 1.0, "ack")  # in order again: only [3, 3.5] is new
+        assert m.rx_time == pytest.approx(2.5)
+        assert m.rx_time_by_class["ack"] == pytest.approx(0.5)
 
-    def test_gap_filling_merges_neighbors(self):
+    def test_start_inside_rightmost_interval_is_accepted(self):
         m = EnergyMeter(EnergyParams())
-        m.note_rx(0.0, 1.0)   # [0, 1]
-        m.note_rx(2.0, 1.0)   # [2, 3]
-        m.note_rx(0.5, 2.0)   # [0.5, 2.5] bridges the gap
-        assert m.rx_time == pytest.approx(3.0)
-        m.note_rx(0.0, 3.0)   # everything already covered
-        assert m.rx_time == pytest.approx(3.0)
-
-    def test_out_of_order_contained_free(self):
-        m = EnergyMeter(EnergyParams())
-        m.note_rx(10.0, 5.0)
-        m.note_rx(11.0, 1.0)
-        m.note_rx(0.0, 20.0)  # covers both; only the uncovered 15 s bill
-        assert m.rx_time == pytest.approx(20.0)
+        m.note_rx(10.0, 5.0)  # [10, 15]
+        m.note_rx(11.0, 1.0)  # contained: free
+        m.note_rx(10.0, 6.0)  # starts with the interval: only [15, 16] is new
+        assert m.rx_time == pytest.approx(6.0)
+        with pytest.raises(ValueError):
+            m.note_rx(0.0, 20.0)
+        assert m.rx_time == pytest.approx(6.0)
 
 
 class TestClassAttribution:

@@ -174,10 +174,9 @@ class TestAuditorOnLiveRuns:
         # Tamper with one node's attribution after a clean audited run:
         # the finalize-time checker must catch it.
         from repro.experiments.runner import build_world
-        from repro.obs import ObsOptions
 
         cfg = smoke_cfg()
-        world = build_world(cfg, ObsOptions(audit=True))
+        world = build_world(cfg)
         auditor = Auditor()
         auditor.attach(world.tracer)
         world.sim.run(until=cfg.duration)

@@ -17,81 +17,81 @@ from repro.sim import Simulator, Tracer
 
 
 def make_tracer():
+    """A tracer plus the list its records land in (the tracer keeps none)."""
     sim = Simulator()
     tr = Tracer(lambda: sim.now)
-    # ad-hoc categories used by these tests (enable() validates names)
-    tr.register_category("a", "b", "x", "cat", "ignored")
-    return sim, tr
+    records = []
+    tr.add_listener(records.append)
+    return sim, tr, records
 
 
 class TestTraceWriter:
     def test_round_trip_is_lossless_for_json_scalars(self, tmp_path):
         path = tmp_path / "t.jsonl"
-        sim, tr = make_tracer()
+        sim, tr, records = make_tracer()
         with TraceWriter(path) as writer:
-            writer.attach(tr, "a", "b")
-            sim.schedule(0.5, lambda: tr.record("a", x=1, label="hello", flag=True))
-            sim.schedule(1.5, lambda: tr.record("b", y=2.25, z=None))
-            sim.schedule(2.0, lambda: tr.record("ignored", n=9))  # not enabled
+            writer.attach(tr, "data.gen", "data.rx")
+            sim.schedule(0.5, lambda: tr.record("data.gen", x=1, label="hello", flag=True))
+            sim.schedule(1.5, lambda: tr.record("data.rx", y=2.25, z=None))
+            sim.schedule(2.0, lambda: tr.record("data.tx", n=9))  # not enabled
             sim.run()
         got = list(read_trace(path))
-        assert got == tr.records()
-        assert [r.category for r in got] == ["a", "b"]
+        assert got == records
+        assert [r.category for r in got] == ["data.gen", "data.rx"]
         assert got[0].get("label") == "hello"
         assert got[1].get("z") is None
 
     def test_streaming_does_not_buffer_in_memory(self, tmp_path):
         path = tmp_path / "t.jsonl"
         sim = Simulator()
-        tr = Tracer(lambda: sim.now, max_records=0)
+        tr = Tracer(lambda: sim.now)
         with TraceWriter(path) as writer:
             writer.attach(tr)  # no categories -> "*"
             for i in range(100):
-                tr.record("cat", i=i)
+                tr.record("phy.tx", i=i)
             assert writer.records_written == 100
-        assert tr.records() == []
         assert len(list(read_trace(path))) == 100
 
     def test_category_filtered_read(self, tmp_path):
         path = tmp_path / "t.jsonl"
-        sim, tr = make_tracer()
+        sim, tr, _records = make_tracer()
         with TraceWriter(path) as writer:
             writer.attach(tr)
-            tr.record("a", i=1)
-            tr.record("b", i=2)
-            tr.record("a", i=3)
-        assert [r.get("i") for r in read_trace(path, category="a")] == [1, 3]
+            tr.record("data.gen", i=1)
+            tr.record("data.rx", i=2)
+            tr.record("data.gen", i=3)
+        assert [r.get("i") for r in read_trace(path, category="data.gen")] == [1, 3]
 
     def test_meta_header_then_records_only(self, tmp_path):
         path = tmp_path / "t.jsonl"
-        sim, tr = make_tracer()
+        sim, tr, _records = make_tracer()
         with TraceWriter(path) as writer:
             writer.attach(tr)
-            tr.record("a", i=1)
+            tr.record("data.gen", i=1)
         lines = list(iter_trace_lines(path))
         assert [ln["type"] for ln in lines] == ["meta", "record"]
 
     def test_non_json_fields_degrade_to_strings(self, tmp_path):
         path = tmp_path / "t.jsonl"
-        sim, tr = make_tracer()
+        sim, tr, _records = make_tracer()
         with TraceWriter(path) as writer:
             writer.attach(tr)
-            tr.record("x", obj={1, 2, 3})
+            tr.record("data.merge", obj={1, 2, 3})
         (rec,) = read_trace(path)
         assert isinstance(rec.get("obj"), str)
 
     def test_summary(self, tmp_path):
         path = tmp_path / "t.jsonl"
-        sim, tr = make_tracer()
+        sim, tr, _records = make_tracer()
         with TraceWriter(path) as writer:
             writer.attach(tr)
-            sim.schedule(1.0, tr.record, "a")
-            sim.schedule(4.0, tr.record, "b")
+            sim.schedule(1.0, tr.record, "phy.tx")
+            sim.schedule(4.0, tr.record, "phy.rx")
             sim.run()
         s = trace_summary(path)
         assert s["records"] == 2
         assert s["time_span"] == (1.0, 4.0)
-        assert s["categories"] == {"a": 1, "b": 1}
+        assert s["categories"] == {"phy.tx": 1, "phy.rx": 1}
 
 
 def test_trace_with_old_gauges_line_still_reads(tmp_path, capsys):
@@ -158,7 +158,7 @@ def test_every_reception_has_a_matching_transmission(tmp_path, seed):
 
 def test_export_matches_in_memory_records_on_real_run(tmp_path):
     """Lossless-export property on a full packet run: the JSONL file and
-    the in-memory record list are the same sequence."""
+    the records a second listener collected are the same sequence."""
     path = tmp_path / "full.jsonl"
     profile = smoke()
     cfg = ExperimentConfig(
@@ -172,10 +172,13 @@ def test_export_matches_in_memory_records_on_real_run(tmp_path):
     from repro.experiments.runner import build_world
 
     world = build_world(cfg)
+    records = []
+    world.tracer.add_listener(records.append)
     with TraceWriter(path) as writer:
         writer.attach(world.tracer, "phy.tx", "phy.rx", "greedy.decision")
         world.sim.run(until=cfg.duration)
-    assert list(read_trace(path)) == world.tracer.records()
+    assert records
+    assert list(read_trace(path)) == records
     # and the file is genuine JSONL: one object per line
     with path.open() as fh:
         for line in fh:

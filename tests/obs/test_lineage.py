@@ -93,9 +93,10 @@ class TestLineageFromLiveRun:
 
         cfg = ExperimentConfig.from_profile(smoke(), "greedy", 60, seed=4)
         world = build_world(cfg)
+        index = LineageIndex()
         world.tracer.enable(*LINEAGE_CATEGORIES)
+        world.tracer.add_listener(index.add)
         world.sim.run(until=cfg.duration)
-        index = LineageIndex.from_records(world.tracer.records())
         delivered = index.delivered_keys()
         assert delivered, "smoke run delivered nothing"
         # every delivered key roots in a generation and its path starts at

@@ -25,10 +25,11 @@ from repro.obs.lineage import LINEAGE_CATEGORIES, LineageIndex
 def test_lineage_conservation(seed, scheme):
     cfg = ExperimentConfig.from_profile(smoke(), scheme, 60, seed=seed, n_sources=3)
     world = build_world(cfg)
+    index = LineageIndex()
     world.tracer.enable(*LINEAGE_CATEGORIES)
+    world.tracer.add_listener(index.add)
     world.sim.run(until=cfg.duration)
 
-    index = LineageIndex.from_records(world.tracer.records())
     metrics = world.metrics
 
     # Source side: the lineage stream saw every generation the agents

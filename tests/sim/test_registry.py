@@ -70,10 +70,6 @@ class TestKindsAndCardinality:
         # existing series still reachable
         assert reg.counter("c", node="1") is not None
 
-    def test_detailed_flag_defaults_off(self):
-        assert MetricsRegistry().detailed is False
-        assert MetricsRegistry(detailed=True).detailed is True
-
 
 class TestGauges:
     def test_set_inc_dec(self):
