@@ -72,6 +72,8 @@ class CsmaMac:
         self.rng = rng
         self.tracer = tracer
         radio.deliver = self._on_phy_receive
+        #: the channel's frame-id source (data frames and ACKs)
+        self._frame_ids = radio.channel.frame_ids
 
         self.receive_callback: Optional[Callable[[Any, int], None]] = None
         self._queue: deque[Frame] = deque()
@@ -132,6 +134,7 @@ class CsmaMac:
                 # duck-typed: diffusion messages declare a wire_class; the
                 # net layer stays payload-agnostic and just carries it.
                 msg_class=getattr(payload, "wire_class", "other"),
+                frame_id=next(self._frame_ids),
             )
         )
         self._queue_depth.observe(len(self._queue))
@@ -263,7 +266,7 @@ class CsmaMac:
             self._complete()
 
     def _send_ack(self, frame: Frame) -> None:
-        ack = frame.ack_frame(self.params.ack_size_bytes)
+        ack = frame.ack_frame(self.params.ack_size_bytes, next(self._frame_ids))
         self.sim.schedule(self.params.sifs_s, self._transmit_ack, ack)
 
     def _transmit_ack(self, ack: Frame) -> None:

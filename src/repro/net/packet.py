@@ -9,16 +9,13 @@ events, 36-byte control messages).
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 __all__ = ["Frame", "BROADCAST", "FrameKind"]
 
 #: Link-layer broadcast address (interest floods, exploratory floods).
 BROADCAST = -1
-
-_frame_ids = itertools.count(1)
 
 
 class FrameKind:
@@ -51,8 +48,10 @@ class Frame:
         :data:`repro.net.energy.MESSAGE_CLASSES`.  Derived from the
         payload's ``wire_class`` by the MAC.
     frame_id:
-        Unique id, assigned automatically (used for tracing and for
-        matching ACKs to transmissions).
+        Id unique on its channel: the MAC draws it from
+        :attr:`repro.net.radio.Channel.frame_ids` (used for tracing and
+        for matching ACKs to transmissions).  0 for a frame built
+        outside a MAC.
     """
 
     src: int
@@ -61,7 +60,7 @@ class Frame:
     payload: Any = None
     kind: str = FrameKind.DATA
     msg_class: str = "other"
-    frame_id: int = field(default_factory=lambda: next(_frame_ids))
+    frame_id: int = 0
 
     def __post_init__(self) -> None:
         if self.size <= 0:
@@ -71,8 +70,12 @@ class Frame:
     def is_broadcast(self) -> bool:
         return self.dst == BROADCAST
 
-    def ack_frame(self, ack_size: int) -> "Frame":
-        """Build the ACK frame a receiver returns for this unicast frame."""
+    def ack_frame(self, ack_size: int, frame_id: int = 0) -> "Frame":
+        """Build the ACK frame a receiver returns for this unicast frame.
+
+        ``frame_id`` is the ACK's own id; the MAC draws it from its
+        channel, like a data frame's.
+        """
         if self.is_broadcast:
             raise ValueError("broadcast frames are not acknowledged")
         return Frame(
@@ -82,14 +85,9 @@ class Frame:
             payload=self.frame_id,
             kind=FrameKind.ACK,
             msg_class="ack",
+            frame_id=frame_id,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         dst = "BCAST" if self.is_broadcast else str(self.dst)
         return f"<Frame #{self.frame_id} {self.kind} {self.src}->{dst} {self.size}B>"
-
-
-def reset_frame_ids() -> None:
-    """Reset the global frame-id counter (test isolation helper)."""
-    global _frame_ids
-    _frame_ids = itertools.count(1)

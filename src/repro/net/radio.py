@@ -30,14 +30,29 @@ grid) and the :class:`Radio` instances; radios are driven by the MAC
 layer above.
 
 Each broadcast services its whole neighborhood with two *cohort* events
-(arrival start and arrival end) that walk one preallocated list of
-per-receiver :class:`_Arrival` objects in ascending node-id order (see
-DESIGN.md §13).  ``tests/property/test_golden_runs.py`` pins the
-resulting RunMetrics, timelines and audits bit for bit.
+(arrival start and arrival end) that walk its receivers in ascending
+node-id order (see DESIGN.md §13).  The channel model picks the rules
+they apply:
+
+* **Disc rules** (every model with ``capture`` off): the second arrival
+  to start at a receiver corrupts everything in flight there, so a
+  receiver never holds more than one clean arrival.  Each radio keeps
+  only a count of its arrivals in flight and the token of its clean one,
+  and the two cohort events do each receiver's work inline, with no
+  per-arrival object (DESIGN.md §9).
+* **SINR capture**: each receiver keeps its in-flight :class:`_Arrival`
+  objects, with their powers, and :meth:`Radio.arrival_start` /
+  :meth:`Radio.arrival_end` decide decoding by the capture test.
+
+``tests/property/test_golden_runs.py`` pins the resulting RunMetrics,
+timelines and audits bit for bit, and
+``tests/property/test_disc_reference.py`` checks the disc rules against
+the per-arrival implementation they replaced.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -70,11 +85,9 @@ class RadioParams:
 
 
 class _Arrival:
-    """One in-flight frame at one receiver.
+    """One in-flight frame at one receiver, under SINR capture.
 
-    ``rx_mw``/``band``/``smax`` only carry state under a capture-mode
-    channel model (SINR bookkeeping); the disc path leaves them at their
-    defaults.
+    The disc rules need no per-arrival state (see :func:`_disc_start`).
     """
 
     __slots__ = ("frame", "cls", "start", "end", "corrupted", "rx_mw", "band", "smax")
@@ -85,8 +98,8 @@ class _Arrival:
         cls: str,
         start: float,
         end: float,
-        rx_mw: float = 0.0,
-        band: int = 0,
+        rx_mw: float,
+        band: int,
     ) -> None:
         self.frame = frame
         #: frame.msg_class, stashed once per fan-out (hot-path alias)
@@ -102,14 +115,106 @@ class _Arrival:
         self.smax = 0.0
 
 
-def _fanout_start(arrivals: list) -> None:
-    """Begin reception of one frame at every in-range receiver."""
+def _disc_start(
+    channel: "Channel",
+    receivers: list["Radio"],
+    down: list["Radio"],
+    cls: str,
+    start: float,
+    end: float,
+) -> None:
+    """Begin one frame's reception at every receiver, under the disc rules.
+
+    ``down`` is fresh per transmission, so besides collecting the
+    receivers that are down now (the end skips them) it is the frame's
+    *token*: a receiver's ``_clean`` holds it while this frame is the one
+    clean arrival in flight there.  That one suffices because the second
+    arrival to start at a receiver corrupts everything in flight, itself
+    included.
+    """
+    now = channel.sim.now
+    rx_time = end - start
+    collided = halfduplex = 0
+    for r in receivers:
+        if not r.up:
+            down.append(r)  # radio off: nothing heard, nothing spent
+            continue
+        if end > r.busy_until:
+            r.busy_until = end
+        r.energy.note_rx(start, rx_time, cls)
+        if now < r.tx_until:
+            # Half duplex: a transmitting radio misses the frame, and the
+            # frame still corrupts the one in flight.
+            halfduplex += 1
+            if r._clean is not None:
+                r._clean = None
+                collided += 1
+        elif r._n_active:
+            # Overlap with another in-flight frame: everyone is corrupted.
+            collided += 1 if r._clean is None else 2
+            r._clean = None
+        else:
+            r._clean = down
+        r._n_active += 1
+    if collided:
+        channel.n_collision += collided
+    if halfduplex:
+        channel.n_halfduplex_loss += halfduplex
+
+
+def _disc_end(
+    channel: "Channel",
+    receivers: list["Radio"],
+    down: list["Radio"],
+    frame: Frame,
+    cls: str,
+) -> None:
+    """Finish one frame's reception at every receiver, under the disc rules.
+
+    A receiver that still holds the frame's token (see
+    :func:`_disc_start`) and is up and not transmitting counts the frame
+    and gets it delivered.  Whether anyone records ``phy.rx`` is asked
+    once per frame, not once per receiver.
+    """
+    now = channel.sim.now
+    tracer = channel.tracer
+    record_rx = tracer.wants("phy.rx")
+    delivered = 0
+    for r in receivers:
+        if down and r in down:
+            continue  # down when the frame started: never received
+        r._n_active -= 1
+        if r._clean is not down:
+            continue  # corrupted by a collision or half duplex
+        r._clean = None
+        if not r.up:
+            continue
+        if now < r.tx_until:
+            # Started transmitting mid-reception (should be rare given
+            # carrier sense, but possible with zero-backoff ACKs).
+            channel.n_halfduplex_loss += 1
+            continue
+        delivered += 1
+        if record_rx:
+            tracer.record("phy.rx", frame=frame.frame_id, node=r.node_id, src=frame.src)
+        if r.deliver is not None:
+            r.deliver(frame)
+    if delivered:
+        counts = channel._rx_class_counts
+        try:
+            counts[cls] += delivered
+        except KeyError:
+            counts[cls] = delivered
+
+
+def _capture_start(arrivals: list) -> None:
+    """Begin reception of one frame at every receiver, under SINR capture."""
     for receiver, arrival in arrivals:
         receiver.arrival_start(arrival)
 
 
-def _fanout_end(arrivals: list, tracer: Tracer) -> None:
-    """Finish reception of one frame at every in-range receiver.
+def _capture_end(arrivals: list, tracer: Tracer) -> None:
+    """Finish reception of one frame at every receiver, under SINR capture.
 
     Whether anyone records ``phy.rx`` is asked once per frame, not once
     per receiver.
@@ -179,6 +284,9 @@ class Channel:
         #: MACs on this channel's radios (each CsmaMac appends itself);
         #: publish_counters() sums their counters
         self.macs: list = []
+        #: frame ids for this channel's MACs: unique per channel, so a
+        #: run's trace does not depend on what ran before it
+        self.frame_ids = itertools.count(1)
 
     def publish_counters(self) -> None:
         """Publish the PHY and MAC counters to the registry.
@@ -333,11 +441,10 @@ class Channel:
 
         All receivers hear the frame at the same two instants (start and
         end of reception), so the whole neighborhood is serviced by *two*
-        scheduled cohort events sharing one preallocated
-        ``(receiver, arrival)`` list — not two events per receiver.
-        Receivers are visited in ascending node-id order inside each
-        fan-out.  Each cohort entry counts one logical event per receiver
-        toward ``Simulator.events_processed``.
+        scheduled cohort events over the receivers that are up now — not
+        two events per receiver.  Receivers are visited in ascending
+        node-id order inside each fan-out.  Each cohort entry counts one
+        logical event per receiver toward ``Simulator.events_processed``.
         """
         params = self.params
         duration = params.air_time(frame.size)
@@ -369,6 +476,11 @@ class Channel:
         end = start + duration
         if end_of_tx > sender.tx_until:
             sender.tx_until = end_of_tx
+        # NB: now + (prop + duration), not (now + prop) + duration — the
+        # end event's timestamp must match the historical float exactly
+        # (it differs from ``end`` by an ULP on some inputs, and event
+        # timestamps feed tie-breaking and MAC timing).
+        end_at = now + (prop + duration)
         if self._capture:
             band = sender.node_id % self._n_bands
             arrivals = [
@@ -378,23 +490,17 @@ class Channel:
                 )
                 if receiver.up
             ]
-        else:
-            arrivals = [
-                (receiver, _Arrival(frame, cls, start, end))
-                for receiver in self.neighbors(sender.node_id)
-                if receiver.up
-            ]
-        if arrivals:
-            n = len(arrivals)
-            sim.schedule_cohort_at(start, n, _fanout_start, arrivals)
-            # NB: now + (prop + duration), not (now + prop) + duration —
-            # the end event's timestamp must match the historical float
-            # exactly (it differs from arrival.end by an ULP on some
-            # inputs, and event timestamps feed tie-breaking and MAC
-            # timing).
-            sim.schedule_cohort_at(
-                now + (prop + duration), n, _fanout_end, arrivals, tracer
-            )
+            if arrivals:
+                n = len(arrivals)
+                sim.schedule_cohort_at(start, n, _capture_start, arrivals)
+                sim.schedule_cohort_at(end_at, n, _capture_end, arrivals, tracer)
+            return duration
+        receivers = [r for r in self.neighbors(sender.node_id) if r.up]
+        if receivers:
+            n = len(receivers)
+            down: list[Radio] = []
+            sim.schedule_cohort_at(start, n, _disc_start, self, receivers, down, cls, start, end)
+            sim.schedule_cohort_at(end_at, n, _disc_end, self, receivers, down, frame, cls)
         return duration
 
 
@@ -411,11 +517,11 @@ class Radio:
         "sim",
         "tx_until",
         "busy_until",
+        "_n_active",
+        "_clean",
         "_active",
         "deliver",
         "up",
-        "_rx_class_counts",
-        "_capture",
         "_interf",
     )
 
@@ -438,18 +544,20 @@ class Radio:
         self.tx_until = 0.0
         #: carrier-sense horizon: medium considered busy until this time
         self.busy_until = 0.0
+        #: disc rules: arrivals in flight here, and the token of the one
+        #: clean arrival among them, or None (see _disc_start)
+        self._n_active = 0
+        self._clean: Optional[list] = None
+        #: SINR capture: the arrivals in flight here
         self._active: list[_Arrival] = []
         #: callback(frame) installed by the MAC for clean receptions
         self.deliver: Optional[Callable[[Frame], None]] = None
         #: liveness flag, pushed by the owning node on fail/recover.
         #: A plain attribute on purpose: it is read per receiver per
-        #: frame (the transmit fan-out and both arrival events), where a
+        #: frame (the transmit fan-out and both cohort events), where a
         #: property + callback indirection is measurable.
         self.up = True
-        #: the channel's shared per-class rx count dict (hot-path alias)
-        self._rx_class_counts = channel._rx_class_counts
-        #: SINR-capture mode flag and per-band running interference sums
-        self._capture = channel._capture
+        #: SINR capture: per-band running interference sums
         self._interf = [0.0] * channel._n_bands if channel._capture else None
         channel.register(self)
 
@@ -470,9 +578,11 @@ class Radio:
         return self.channel.transmit(self, frame)
 
     # ------------------------------------------------------------------
-    # reception path (driven by Channel-scheduled events)
+    # reception path under SINR capture (driven by Channel-scheduled
+    # events; the disc rules run inline in _disc_start/_disc_end)
     # ------------------------------------------------------------------
     def arrival_start(self, arrival: _Arrival) -> None:
+        """Begin one arrival under SINR capture."""
         if not self.up:
             arrival.corrupted = True  # radio off: nothing heard, nothing spent
             return
@@ -484,37 +594,22 @@ class Radio:
             # Half duplex: we miss frames that arrive while we transmit.
             arrival.corrupted = True
             self.channel.n_halfduplex_loss += 1
-        if self._capture:
-            # SINR capture: no pairwise corruption — advance this band's
-            # running power sum and raise the watermark of every same-band
-            # arrival in flight (sums only grow at starts, so tracking the
-            # max here is exact).  A half-duplex-lost frame still radiates.
-            band = arrival.band
-            interf = self._interf
-            s = interf[band] + arrival.rx_mw
-            interf[band] = s
-            for other in self._active:
-                if other.band == band and s > other.smax:
-                    other.smax = s
-            arrival.smax = s
-            self._active.append(arrival)
-            return
-        active = self._active
-        if active:
-            # Overlap with another in-flight frame: everyone is corrupted.
-            hit = 0
-            for other in active:
-                if not other.corrupted:
-                    other.corrupted = True
-                    hit += 1
-            if not arrival.corrupted:
-                arrival.corrupted = True
-                hit += 1
-            self.channel.n_collision += hit
-        active.append(arrival)
+        # No pairwise corruption: advance this band's running power sum
+        # and raise the watermark of every same-band arrival in flight
+        # (sums only grow at starts, so tracking the max here is exact).
+        # A half-duplex-lost frame still radiates.
+        band = arrival.band
+        interf = self._interf
+        s = interf[band] + arrival.rx_mw
+        interf[band] = s
+        for other in self._active:
+            if other.band == band and s > other.smax:
+                other.smax = s
+        arrival.smax = s
+        self._active.append(arrival)
 
     def arrival_end(self, arrival: _Arrival, record_rx: bool) -> None:
-        """Finish one arrival; a clean one is counted and delivered.
+        """Finish one arrival under SINR capture; a decodable one is delivered.
 
         ``record_rx`` says whether to emit a ``phy.rx`` record (the
         fan-out asks the tracer once per frame).
@@ -523,8 +618,7 @@ class Radio:
             self._active.remove(arrival)
         except ValueError:
             return  # arrival was never started (node was down)
-        if self._capture:
-            self._interf[arrival.band] -= arrival.rx_mw
+        self._interf[arrival.band] -= arrival.rx_mw
         if arrival.corrupted or not self.up:
             return
         if self.sim.now < self.tx_until:
@@ -532,12 +626,11 @@ class Radio:
             # carrier sense, but possible with zero-backoff ACKs).
             self.channel.n_halfduplex_loss += 1
             return
-        if self._capture:
-            ch = self.channel
-            if arrival.rx_mw < ch._thr * (ch._noise_mw + (arrival.smax - arrival.rx_mw)):
-                ch.n_sinr_loss += 1
-                return
-        counts = self._rx_class_counts
+        ch = self.channel
+        if arrival.rx_mw < ch._thr * (ch._noise_mw + (arrival.smax - arrival.rx_mw)):
+            ch.n_sinr_loss += 1
+            return
+        counts = ch._rx_class_counts
         cls = arrival.cls
         try:
             counts[cls] += 1

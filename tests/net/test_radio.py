@@ -174,6 +174,30 @@ class TestLivenessAndEnergy:
         assert got == []
         assert meter.rx_time == 0.0
 
+    def test_receiver_down_at_arrival_start_gets_nothing(self):
+        # b is up when a transmits, so it is among the frame's receivers,
+        # but goes down in the propagation delay before the arrival
+        # starts and is back up long before the frame ends.
+        sim, tracer, ch = make_channel()
+        a, _, _ = make_radio(ch, 0, 0, 0)
+        b, meter, _ = make_radio(ch, 1, 30, 0)
+        got = []
+        b.deliver = got.append
+        prop = ch.params.propagation_delay_s
+        a.start_tx(Frame(src=0, dst=BROADCAST, size=64))
+        sim.schedule(prop / 2, setattr, b, "up", False)
+        sim.schedule(prop * 2, setattr, b, "up", True)
+        sim.run()
+        assert got == []
+        assert meter.rx_time == 0.0
+        assert b.busy_until == 0.0
+        # nothing of the missed frame lingers: b's next reception is clean
+        a.start_tx(Frame(src=0, dst=BROADCAST, size=64))
+        sim.run()
+        assert len(got) == 1
+        ch.publish_counters()
+        assert tracer.registry.value("radio.collision") == 0
+
     def test_down_sender_cannot_transmit(self):
         _sim, _tr, ch = make_channel()
         a, _, _ = make_radio(ch, 0, 0, 0)

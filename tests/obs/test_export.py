@@ -183,3 +183,14 @@ def test_export_matches_in_memory_records_on_real_run(tmp_path):
     with path.open() as fh:
         for line in fh:
             json.loads(line)
+
+
+def test_same_run_twice_in_one_process_writes_identical_traces(tmp_path):
+    """Same seed, same trace: frame ids are numbered per channel, so a
+    run's trace does not depend on the runs before it in the process."""
+    cfg = ExperimentConfig(scheme="greedy", n_nodes=40, seed=3, duration=8.0, warmup=3.0)
+    first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
+    run_observed(cfg, ObsOptions(trace_path=first))
+    run_observed(cfg, ObsOptions(trace_path=second))
+    assert any(rec.category == "phy.rx" for rec in read_trace(first))
+    assert first.read_bytes() == second.read_bytes()
