@@ -219,10 +219,10 @@ class DiffusionAgent:
     def on_message(self, msg: Any, from_id: int) -> None:
         """MAC delivery entry point."""
         kind = type(msg)
-        if kind is AggregateMsg:
-            self._handle_aggregate(msg, from_id)
-        elif kind is ExploratoryEvent:
+        if kind is ExploratoryEvent:  # most deliveries: one per neighbor per round
             self._handle_exploratory(msg, from_id)
+        elif kind is AggregateMsg:
+            self._handle_aggregate(msg, from_id)
         elif kind is InterestMsg:
             self._handle_interest(msg, from_id)
         elif kind is ReinforcementMsg:

@@ -6,21 +6,42 @@ can be used to preferentially forward interests").  Two caches matter:
 
 * :class:`SeenCache` — bounded LRU membership set used to suppress
   duplicate interests, data items, and incremental-cost messages.
-* :class:`ExploratoryCache` — per exploratory-round bookkeeping: which
-  neighbor delivered each copy, at what cumulative energy cost E, when,
-  and the best incremental cost C heard per neighbor.  This is exactly
-  the state both reinforcement rules read: the opportunistic rule takes
-  the *first* delivering neighbor, the greedy rule the *cheapest* one
-  (over E and C, ties to exploratory then to earliest delivery).
+* :class:`ExploratoryCache` — per exploratory-round bookkeeping for the
+  two reinforcement rules: the opportunistic rule takes the *first*
+  delivering neighbor, the greedy rule the *cheapest* one over
+  exploratory E and incremental C (ties to an incumbent, then to
+  exploratory, then to earliest delivery).
+
+An :class:`ExploratoryRecord` keeps only the exploratory copies that can
+win one of those rules: the first copy (neighbor, time, E), the round's
+minimum E, and the ``(time, neighbor)`` of each copy at that minimum, in
+arrival order.  A copy above the running minimum can change neither
+decision, so it costs one dict lookup and one float compare.  Every
+node re-floods each round once, so a node hears one copy per in-range
+neighbor, and most of them are such copies.
+
+This gives the answers of a record that keeps each neighbor's minimum E
+and first delivery time, because each neighbor delivers a given round at
+most once: a node forwards a round once, and the MAC never retransmits a
+broadcast.  Were a neighbor to repeat a round at a lower E, the repeat
+would count at its own arrival time, where the per-neighbor record kept
+the neighbor's first time (and the first deliverer's cost stays its
+first copy's E).  No run produces such a repeat;
+``tests/property/test_exploratory_reference.py`` keeps the per-neighbor
+record as the reference and checks the invariant on whole runs.
+Incremental-cost (C) advertisements are rare and keep per-neighbor
+dicts, allocated when a round's first C message arrives.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Hashable, Optional
 
 __all__ = ["SeenCache", "ExploratoryRecord", "ExploratoryCache", "ReinforceChoice"]
+
+_INF = float("inf")
 
 
 class SeenCache:
@@ -49,26 +70,37 @@ class SeenCache:
         return len(self._seen)
 
 
-@dataclass
 class ExploratoryRecord:
-    """Everything one node heard about one exploratory round."""
+    """The copies of one exploratory round that can win a reinforcement rule."""
 
-    #: cumulative energy cost E per delivering neighbor (min per neighbor)
-    energy_by_neighbor: dict[int, float] = field(default_factory=dict)
-    #: delivery time per neighbor (first copy)
-    time_by_neighbor: dict[int, float] = field(default_factory=dict)
-    #: first neighbor to deliver any copy (the opportunistic winner)
-    first_neighbor: Optional[int] = None
-    first_time: float = 0.0
-    #: best incremental cost C per advertising neighbor
-    inc_cost_by_neighbor: dict[int, float] = field(default_factory=dict)
-    inc_time_by_neighbor: dict[int, float] = field(default_factory=dict)
+    __slots__ = (
+        "first_neighbor",
+        "first_time",
+        "first_energy",
+        "best_energy",
+        "best_copies",
+        "inc_cost_by_neighbor",
+        "inc_time_by_neighbor",
+    )
+
+    def __init__(self) -> None:
+        #: first neighbor to deliver any copy (the opportunistic winner),
+        #: its delivery time and its E
+        self.first_neighbor: Optional[int] = None
+        self.first_time = 0.0
+        self.first_energy = _INF
+        #: the round's minimum E so far, and ``(time, neighbor)`` of each
+        #: copy at that minimum, in arrival order
+        self.best_energy = _INF
+        self.best_copies: list[tuple[float, int]] = []
+        #: best incremental cost C and first advertisement time per
+        #: advertising neighbor; ``None`` until the round's first C message
+        self.inc_cost_by_neighbor: Optional[dict[int, float]] = None
+        self.inc_time_by_neighbor: Optional[dict[int, float]] = None
 
     def min_energy(self) -> Optional[float]:
         """Cheapest E across delivering neighbors (the node's own cost)."""
-        if not self.energy_by_neighbor:
-            return None
-        return min(self.energy_by_neighbor.values())
+        return None if self.first_neighbor is None else self.best_energy
 
 
 @dataclass(frozen=True)
@@ -89,13 +121,10 @@ class ExploratoryCache:
         self.capacity = capacity
         self._records: OrderedDict[Hashable, ExploratoryRecord] = OrderedDict()
 
-    def _record(self, key: Hashable) -> ExploratoryRecord:
-        rec = self._records.get(key)
-        if rec is None:
-            rec = ExploratoryRecord()
-            self._records[key] = rec
-            if len(self._records) > self.capacity:
-                self._records.popitem(last=False)
+    def _insert(self, key: Hashable) -> ExploratoryRecord:
+        rec = self._records[key] = ExploratoryRecord()
+        if len(self._records) > self.capacity:
+            self._records.popitem(last=False)
         return rec
 
     # ------------------------------------------------------------------
@@ -109,22 +138,35 @@ class ExploratoryCache:
         Returns True when this is the first copy of the round seen at all
         (i.e. the copy that should be re-flooded).
         """
-        rec = self._record(key)
-        first = rec.first_neighbor is None
-        if first:
+        rec = self._records.get(key)
+        if rec is not None and energy_cost > rec.best_energy:
+            return False  # above the round's minimum: wins neither rule
+        if rec is None:
+            rec = self._insert(key)
+        if rec.first_neighbor is None:
             rec.first_neighbor = neighbor
             rec.first_time = now
-        prev = rec.energy_by_neighbor.get(neighbor)
-        if prev is None or energy_cost < prev:
-            rec.energy_by_neighbor[neighbor] = energy_cost
-        rec.time_by_neighbor.setdefault(neighbor, now)
-        return first
+            rec.first_energy = energy_cost
+            rec.best_energy = energy_cost
+            rec.best_copies = [(now, neighbor)]
+            return True
+        if energy_cost < rec.best_energy:
+            rec.best_energy = energy_cost
+            rec.best_copies = [(now, neighbor)]
+        else:
+            rec.best_copies.append((now, neighbor))
+        return False
 
     def note_incremental_cost(
         self, key: Hashable, neighbor: int, cost: float, now: float
     ) -> None:
         """Record an incremental-cost advertisement heard from ``neighbor``."""
-        rec = self._record(key)
+        rec = self._records.get(key)
+        if rec is None:
+            rec = self._insert(key)
+        if rec.inc_cost_by_neighbor is None:
+            rec.inc_cost_by_neighbor = {}
+            rec.inc_time_by_neighbor = {}
         prev = rec.inc_cost_by_neighbor.get(neighbor)
         if prev is None or cost < prev:
             rec.inc_cost_by_neighbor[neighbor] = cost
@@ -141,8 +183,7 @@ class ExploratoryCache:
         rec = self._records.get(key)
         if rec is None or rec.first_neighbor is None:
             return None
-        cost = rec.energy_by_neighbor.get(rec.first_neighbor, float("inf"))
-        return ReinforceChoice(rec.first_neighbor, cost, via_incremental=False)
+        return ReinforceChoice(rec.first_neighbor, rec.first_energy, via_incremental=False)
 
     def lowest_cost_choice(
         self, key: Hashable, prefer: frozenset = frozenset()
@@ -159,27 +200,17 @@ class ExploratoryCache:
         rec = self._records.get(key)
         if rec is None:
             return None
-        candidates: list[tuple[float, int, int, float, int]] = []
-        for neighbor, cost in rec.energy_by_neighbor.items():
-            candidates.append(
-                (
-                    cost,
-                    0 if neighbor in prefer else 1,
-                    0,  # exploratory beats incremental on ties
-                    rec.time_by_neighbor.get(neighbor, float("inf")),
-                    neighbor,
+        best = rec.best_energy
+        candidates: list[tuple[float, int, int, float, int]] = [
+            (best, 0 if neighbor in prefer else 1, 0, t, neighbor)
+            for t, neighbor in rec.best_copies
+        ]
+        if rec.inc_cost_by_neighbor is not None:
+            inc_time = rec.inc_time_by_neighbor
+            for neighbor, cost in rec.inc_cost_by_neighbor.items():
+                candidates.append(
+                    (cost, 0 if neighbor in prefer else 1, 1, inc_time[neighbor], neighbor)
                 )
-            )
-        for neighbor, cost in rec.inc_cost_by_neighbor.items():
-            candidates.append(
-                (
-                    cost,
-                    0 if neighbor in prefer else 1,
-                    1,
-                    rec.inc_time_by_neighbor.get(neighbor, float("inf")),
-                    neighbor,
-                )
-            )
         if not candidates:
             return None
         cost, _pref, via, _t, neighbor = min(candidates)

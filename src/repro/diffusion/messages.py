@@ -17,7 +17,7 @@ rides along for the latency metric (ns-2 got this from its trace file).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from ..constants import CONTROL_SIZE, EVENT_SIZE
 from .attributes import InterestSpec
@@ -80,14 +80,15 @@ class ExploratoryEvent:
     exp_seq: int
     energy_cost: float
     gen_time: float
+    #: round identity: one exploratory flood of one source for one
+    #: interest; built once per message, which every in-range neighbor reads
+    key: tuple[int, int, int] = field(init=False, repr=False, compare=False)
 
     size = EVENT_SIZE
     wire_class = "exploratory"
 
-    @property
-    def key(self) -> tuple[int, int, int]:
-        """Round identity: one exploratory flood of one source for one interest."""
-        return (self.interest_id, self.source_id, self.exp_seq)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "key", (self.interest_id, self.source_id, self.exp_seq))
 
     def hopped(self) -> "ExploratoryEvent":
         """Copy with the per-hop transmission cost added (fixed power: +1)."""

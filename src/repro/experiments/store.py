@@ -103,18 +103,46 @@ def _code_version() -> str:
     return getattr(repro, "__version__", "unknown")
 
 
+#: field names per type seen by :func:`_as_dict`; ``None`` marks a leaf type
+_FIELD_NAMES: dict[type, Optional[tuple[str, ...]]] = {}
+
+
+def _as_dict(obj: Any) -> Any:
+    """``dataclasses.asdict(obj)`` for config shapes, without its deep copy.
+
+    A config's leaves are immutable scalars (numbers, strings, ``None``),
+    so they are shared instead of copied, and each class's field names
+    are looked up once.  Only the walk is cached, never a result: two
+    configs that compare equal can still differ in a leaf's type
+    (``duration=15`` and ``15.0``), and so in their keys.
+    """
+    cls = type(obj)
+    try:
+        names = _FIELD_NAMES[cls]
+    except KeyError:
+        names = _FIELD_NAMES[cls] = (
+            tuple(f.name for f in dataclasses.fields(cls))
+            if dataclasses.is_dataclass(cls)
+            else None
+        )
+    if names is None:
+        return obj
+    return {name: _as_dict(getattr(obj, name)) for name in names}
+
+
 def config_payload(cfg: ExperimentConfig) -> dict[str, Any]:
     """The full identity of one run, as a JSON-friendly dict.
 
     Everything that can change the run's result is in here; nothing else
     is (host, wall time, and observability options do not affect
-    :class:`RunMetrics` and are deliberately excluded).
+    :class:`RunMetrics` and are deliberately excluded).  Its ``"config"``
+    block equals ``dataclasses.asdict(cfg)``.
     """
     return {
         "store_version": STORE_VERSION,
         "code_version": _code_version(),
         "constants": _constants_snapshot(),
-        "config": dataclasses.asdict(cfg),
+        "config": _as_dict(cfg),
     }
 
 

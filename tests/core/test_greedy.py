@@ -193,5 +193,7 @@ class TestEnergyCostConvention:
         cache = w.agents[3].exploratory_cache
         keys = list(cache._records)  # inspect recorded rounds
         assert keys
-        rec = cache.get(keys[0])
-        assert min(rec.energy_by_neighbor.values()) == pytest.approx(3.0)
+        assert cache.get(keys[0]).min_energy() == pytest.approx(3.0)
+        choice = cache.lowest_cost_choice(keys[0])
+        assert choice.neighbor == 2
+        assert choice.cost == pytest.approx(3.0)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.diffusion.cache import ExploratoryCache, SeenCache
+from repro.diffusion.cache import ExploratoryCache, ReinforceChoice, SeenCache
 
 
 class TestSeenCache:
@@ -44,12 +44,15 @@ class TestExploratoryCache:
         assert c.note_exploratory("k", neighbor=1, energy_cost=3.0, now=0.1) is True
         assert c.note_exploratory("k", neighbor=2, energy_cost=2.0, now=0.2) is False
 
-    def test_per_neighbor_minimum_energy(self):
+    def test_repeat_copies_keep_the_minimum_energy(self):
+        # No run repeats a neighbor's copy, but a lower repeat still
+        # lowers the round's E and a higher one never raises it.
         c = ExploratoryCache()
         c.note_exploratory("k", 1, 5.0, 0.1)
         c.note_exploratory("k", 1, 3.0, 0.2)
         c.note_exploratory("k", 1, 7.0, 0.3)
-        assert c.get("k").energy_by_neighbor[1] == 3.0
+        assert c.get("k").min_energy() == 3.0
+        assert c.lowest_cost_choice("k") == ReinforceChoice(1, 3.0, via_incremental=False)
 
     def test_min_energy_across_neighbors(self):
         c = ExploratoryCache()

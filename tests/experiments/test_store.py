@@ -55,6 +55,32 @@ class TestRunKey:
         assert run_key(cfg) == run_key(cfg)
         assert run_key(cfg) == run_key(replace(cfg))
 
+    def test_keys_match_those_of_existing_stores(self):
+        # Computed before the payload stopped going through
+        # dataclasses.asdict: any change here orphans every stored entry.
+        # A version bump or a new constant moves them on purpose.
+        greedy = ExperimentConfig.from_profile(smoke(), "greedy", 50, seed=1)
+        assert run_key(greedy) == (
+            "2123d706ce78316c1625b8a9d398e41cb5a35548efaf4ee832ae82b13896f2ec"
+        )
+        opportunistic = ExperimentConfig.from_profile(
+            smoke(), "opportunistic", 350, seed=7, failures=FailureModel(0.2, 6.0)
+        )
+        assert run_key(opportunistic) == (
+            "adabec87bbc0ec2e10d48c2439930aa200ff759eb8d588a10c3a26f46cc17b58"
+        )
+
+    def test_equal_configs_of_different_leaf_types_keep_their_keys(self):
+        # duration=15 equals duration=15.0 (same hash too) but serializes
+        # differently, so a key memo by config value would hand one of them
+        # the other's key, depending on which the process saw first.
+        as_int = replace(_tiny(), duration=15)
+        as_float = replace(_tiny(), duration=15.0)
+        assert as_int == as_float and hash(as_int) == hash(as_float)
+        int_key, float_key = run_key(as_int), run_key(as_float)
+        assert int_key != float_key
+        assert (run_key(as_float), run_key(as_int)) == (float_key, int_key)
+
     def test_hex_sha256_shape(self):
         key = run_key(_tiny())
         assert len(key) == 64

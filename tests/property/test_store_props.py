@@ -6,7 +6,7 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 from hypothesis import given, settings
@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import repro
 from repro.diffusion.agent import DiffusionParams
-from repro.experiments.config import ExperimentConfig, FailureModel, smoke
+from repro.experiments.config import SCHEMES, ExperimentConfig, FailureModel, smoke
 from repro.experiments.store import canonical_json, config_payload, run_key
 from repro.net.channel import ChannelSpec
 
@@ -151,3 +151,66 @@ class TestFieldSensitivity:
     def test_payload_is_json_round_trip_stable(self):
         payload = config_payload(_cfg())
         assert json.loads(canonical_json(payload)) == payload
+
+
+#: int-valued numbers appear both as ints and floats: the two compare
+#: equal but serialize (and so hash) differently
+_times = st.one_of(
+    st.integers(min_value=1, max_value=300),
+    st.floats(min_value=0.01, max_value=300.0, allow_nan=False),
+)
+
+
+@st.composite
+def _configs(draw) -> ExperimentConfig:
+    duration = draw(_times)
+    warmup = draw(st.sampled_from((0, 0.0, duration / 2)))
+    model = draw(st.sampled_from(("disc", "pathloss")))
+    channel = ChannelSpec(
+        model=model,
+        tx_power_dbm=draw(st.sampled_from((0.0, 0, -3.5))),
+        capture=draw(st.booleans()),
+        max_range_m=draw(st.sampled_from((None, 40, 35.5))),
+        n_bands=1 if model == "disc" else draw(st.integers(min_value=1, max_value=4)),
+    )
+    failures = draw(
+        st.one_of(
+            st.none(),
+            st.builds(
+                FailureModel,
+                fraction=st.floats(min_value=0.05, max_value=1.0),
+                epoch=_times,
+            ),
+        )
+    )
+    return ExperimentConfig(
+        scheme=draw(st.sampled_from(SCHEMES)),
+        n_nodes=draw(st.integers(min_value=2, max_value=400)),
+        seed=draw(st.integers(min_value=0, max_value=2**31 - 1)),
+        duration=duration,
+        warmup=warmup,
+        diffusion=DiffusionParams(
+            exploratory_interval=draw(_times),
+            cache_capacity=draw(st.integers(min_value=1, max_value=10_000)),
+        ),
+        n_sources=draw(st.integers(min_value=1, max_value=14)),
+        n_sinks=draw(st.integers(min_value=1, max_value=5)),
+        source_placement=draw(st.sampled_from(("corner", "random", "event-radius"))),
+        aggregation=draw(st.sampled_from(("perfect", "linear"))),
+        field_size=draw(st.sampled_from((200, 200.0, 150.5))),
+        failures=failures,
+        include_idle=draw(st.booleans()),
+        channel=channel,
+    )
+
+
+class TestPayloadMatchesAsdict:
+    """The payload's config block is ``dataclasses.asdict(cfg)``, leaf
+    types included, so keys stay those that existing stores hold."""
+
+    @given(_configs())
+    @settings(max_examples=200, deadline=None)
+    def test_config_block_equals_asdict(self, cfg):
+        block = config_payload(cfg)["config"]
+        assert block == asdict(cfg)
+        assert canonical_json(block) == canonical_json(asdict(cfg))
