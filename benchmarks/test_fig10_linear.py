@@ -8,7 +8,7 @@ of sources/data items; greedy's savings shrink relative to fig 9.
 
 import os
 
-from repro.experiments.figures import figure9, figure10
+from repro.experiments.figures import figure_plan, run_figure_plan
 from repro.experiments.report import format_figure
 
 from .conftest import run_figure_once
@@ -20,21 +20,17 @@ def test_fig10_linear_aggregation(benchmark, profile, trials, densities):
     n_nodes = int(os.environ.get("REPRO_FIG10_NODES", str(max(densities))))
     result = run_figure_once(
         benchmark,
-        figure10,
-        profile,
-        source_counts=SOURCES,
-        n_nodes=n_nodes,
-        trials=trials,
+        run_figure_plan,
+        figure_plan("fig10", profile, trials=trials, xs=SOURCES, n_nodes=n_nodes),
     )
     print()
     print(format_figure(result))
 
     # Compare against paired fig-9 cells (same seeds, perfect aggregation).
-    perfect = figure9(
-        profile,
-        source_counts=(min(SOURCES), max(SOURCES)),
-        n_nodes=n_nodes,
-        trials=trials,
+    perfect = run_figure_plan(
+        figure_plan(
+            "fig9", profile, trials=trials, xs=(min(SOURCES), max(SOURCES)), n_nodes=n_nodes
+        )
     )
     lo, hi = min(SOURCES), max(SOURCES)
 

@@ -7,7 +7,7 @@ roughly equivalent at the lowest density and greedy saves significantly
 at higher densities, without hurting delay or delivery.
 """
 
-from repro.experiments.figures import figure5
+from repro.experiments.figures import figure_plan, run_figure_plan
 from repro.experiments.report import format_figure
 
 from .conftest import run_figure_once
@@ -15,7 +15,7 @@ from .conftest import run_figure_once
 
 def test_fig5_density_sweep(benchmark, profile, trials, densities):
     result = run_figure_once(
-        benchmark, figure5, profile, densities=densities, trials=trials
+        benchmark, run_figure_plan, figure_plan("fig5", profile, trials=trials, xs=densities)
     )
     print()
     print(format_figure(result))

@@ -6,7 +6,7 @@ drops well below the static case for both schemes (the paper calls the
 conditions "fairly adverse"); energy per delivered event rises.
 """
 
-from repro.experiments.figures import figure5, figure6
+from repro.experiments.figures import figure_plan, run_figure_plan
 from repro.experiments.report import format_figure
 
 from .conftest import run_figure_once
@@ -14,7 +14,7 @@ from .conftest import run_figure_once
 
 def test_fig6_failures(benchmark, profile, trials, densities):
     result = run_figure_once(
-        benchmark, figure6, profile, densities=densities, trials=trials
+        benchmark, run_figure_plan, figure_plan("fig6", profile, trials=trials, xs=densities)
     )
     print()
     print(format_figure(result))
@@ -31,7 +31,9 @@ def test_fig6_failures(benchmark, profile, trials, densities):
     # Energy per delivered event exceeds the static baseline at the top
     # density (failed deliveries still cost transmissions).
     x = int(max(result.xs()))
-    static = figure5(profile, densities=(x,), trials=max(1, trials - 1))
+    static = run_figure_plan(
+        figure_plan("fig5", profile, trials=max(1, trials - 1), xs=(x,))
+    )
     assert (
         result.cell("greedy", x).energy > 0.8 * static.cell("greedy", x).energy
     )

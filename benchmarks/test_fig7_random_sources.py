@@ -6,7 +6,7 @@ versus fig 5 ("the energy savings of the greedy aggregation are reduced")
 because scattered sources offer little early path sharing.
 """
 
-from repro.experiments.figures import figure5, figure7
+from repro.experiments.figures import figure_plan, run_figure_plan
 from repro.experiments.report import format_figure
 
 from .conftest import run_figure_once
@@ -14,7 +14,7 @@ from .conftest import run_figure_once
 
 def test_fig7_random_sources(benchmark, profile, trials, densities):
     result = run_figure_once(
-        benchmark, figure7, profile, densities=densities, trials=trials
+        benchmark, run_figure_plan, figure_plan("fig7", profile, trials=trials, xs=densities)
     )
     print()
     print(format_figure(result))
@@ -23,7 +23,7 @@ def test_fig7_random_sources(benchmark, profile, trials, densities):
 
     # Savings with random placement stay below the corner scheme's at
     # high density (paired comparison with the same trial budget).
-    corner = figure5(profile, densities=(high,), trials=trials)
+    corner = run_figure_plan(figure_plan("fig5", profile, trials=trials, xs=(high,)))
     assert result.energy_savings(high) < corner.energy_savings(high) + 0.10
 
     # Delivery stays healthy — placement changes energy, not correctness.

@@ -10,7 +10,7 @@ random source placement") while delivery remains high.
 
 import os
 
-from repro.experiments.figures import figure8
+from repro.experiments.figures import figure_plan, run_figure_plan
 from repro.experiments.report import format_figure
 
 from .conftest import run_figure_once
@@ -21,7 +21,9 @@ SINKS = (1, 3, 5)
 def test_fig8_sinks(benchmark, profile, trials, densities):
     n_nodes = int(os.environ.get("REPRO_FIG8_NODES", str(max(densities))))
     result = run_figure_once(
-        benchmark, figure8, profile, sink_counts=SINKS, n_nodes=n_nodes, trials=trials
+        benchmark,
+        run_figure_plan,
+        figure_plan("fig8", profile, trials=trials, xs=SINKS, n_nodes=n_nodes),
     )
     print()
     print(format_figure(result))

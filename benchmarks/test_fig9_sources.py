@@ -8,7 +8,7 @@ greedy/opportunistic gap narrows.
 
 import os
 
-from repro.experiments.figures import figure9
+from repro.experiments.figures import figure_plan, run_figure_plan
 from repro.experiments.report import format_figure
 
 from .conftest import run_figure_once
@@ -20,11 +20,8 @@ def test_fig9_sources(benchmark, profile, trials, densities):
     n_nodes = int(os.environ.get("REPRO_FIG9_NODES", str(max(densities))))
     result = run_figure_once(
         benchmark,
-        figure9,
-        profile,
-        source_counts=SOURCES,
-        n_nodes=n_nodes,
-        trials=trials,
+        run_figure_plan,
+        figure_plan("fig9", profile, trials=trials, xs=SOURCES, n_nodes=n_nodes),
     )
     print()
     print(format_figure(result))

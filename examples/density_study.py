@@ -13,7 +13,7 @@ Run:  python examples/density_study.py          (~2-4 minutes)
 import random
 import sys
 
-from repro import fast, figure5, format_figure
+from repro import fast, figure_plan, format_figure, run_figure_plan
 from repro.net import generate_field
 from repro.net.topology import corner_sink_node, corner_source_nodes
 from repro.trees import greedy_incremental_tree, shortest_path_tree, tree_cost
@@ -21,7 +21,7 @@ from repro.trees import greedy_incremental_tree, shortest_path_tree, tree_cost
 
 def packet_level(densities, trials):
     print("=== packet-level simulation (directed diffusion) ===")
-    result = figure5(fast(), densities=densities, trials=trials)
+    result = run_figure_plan(figure_plan("fig5", fast(), trials=trials, xs=densities))
     print(format_figure(result))
     print()
     return result

@@ -44,16 +44,12 @@ from .experiments import (
     RunMetrics,
     RunStore,
     fast,
-    figure5,
-    figure6,
-    figure7,
-    figure8,
-    figure9,
-    figure10,
+    figure_plan,
     format_figure,
     git_vs_spt_table,
     paper,
     run_experiment,
+    run_figure_plan,
     run_key,
     smoke,
 )
@@ -121,12 +117,8 @@ __all__ = [
     "RunStore",
     "run_key",
     "FigureResult",
-    "figure5",
-    "figure6",
-    "figure7",
-    "figure8",
-    "figure9",
-    "figure10",
+    "figure_plan",
+    "run_figure_plan",
     "git_vs_spt_table",
     "format_figure",
     "DENSITY_SWEEP",

@@ -51,10 +51,12 @@ from .experiments import (
     PROFILES,
     ExperimentConfig,
     FailureModel,
+    figure_plan,
     format_figure,
     format_tree_table,
     git_vs_spt_table,
     run_experiment,
+    run_figure_plan,
 )
 from .obs.options import TRACE_CATEGORIES
 
@@ -703,10 +705,9 @@ def _cmd_fig(args: argparse.Namespace) -> int:
 
         store = RunStore(args.store)
     t0 = time.perf_counter()
-    kwargs = {"channel": channel} if channel is not None else {}
-    result = FIGURES[args.figure](
-        profile, trials=args.trials, workers=args.workers, progress=progress,
-        store=store, **kwargs,
+    result = run_figure_plan(
+        figure_plan(args.figure, profile, trials=args.trials, channel=channel),
+        workers=args.workers, progress=progress, store=store,
     )
     wall = time.perf_counter() - t0
     formatter = (
@@ -748,6 +749,7 @@ def _cmd_fig(args: argparse.Namespace) -> int:
 #: the verb that reads each JSON artifact ``stats`` does not
 _ARTIFACT_READERS = {
     "timeline": "repro timeline",
+    "chrome-trace": "repro timeline",
     "store-entry": "repro audit",
     "figure-result": "repro audit",
 }
@@ -1051,14 +1053,10 @@ def _cmd_all(args: argparse.Namespace) -> int:
         from .experiments.store import RunStore
 
         store = RunStore(args.store)
-    for name in sorted(FIGURES):
-        if name in ("large-density", "channel-density"):
-            # Beyond-paper studies (scale, channel axis) — run them
-            # explicitly via `repro fig <name>`.
-            continue
-        result = FIGURES[name](
-            profile, trials=args.trials, workers=args.workers, progress=progress,
-            store=store,
+    for name in sorted(name for name, fig in FIGURES.items() if fig.paper):
+        result = run_figure_plan(
+            figure_plan(name, profile, trials=args.trials),
+            workers=args.workers, progress=progress, store=store,
         )
         print(format_figure(result))
         print()
@@ -1189,28 +1187,21 @@ def _cmd_client(args: argparse.Namespace) -> int:
     try:
         if args.client_command == "submit":
             if args.spec:
-                spec = json.loads(Path(args.spec).read_text())
+                submitted = client.submit(json.loads(Path(args.spec).read_text()))
             elif args.figure:
-                spec = {
-                    "kind": "figure",
-                    "figure": args.figure,
-                    "profile": args.profile,
-                }
-                for name, value in (
-                    ("trials", args.trials),
-                    ("n_nodes", args.n_nodes),
-                    ("xs", args.xs),
-                    ("priority", args.priority),
-                ):
-                    if value is not None:
-                        spec[name] = value
                 channel = _channel_spec(args)
-                if channel is not None:
-                    spec["channel"] = dataclasses.asdict(channel)
+                submitted = client.submit_figure(
+                    args.figure,
+                    args.profile,
+                    trials=args.trials,
+                    n_nodes=args.n_nodes,
+                    xs=args.xs,
+                    channel=None if channel is None else dataclasses.asdict(channel),
+                    priority=args.priority,
+                )
             else:
                 print("client submit: need --figure or --spec", file=sys.stderr)
                 return 2
-            submitted = client.submit(spec)
             if not args.wait:
                 print(json.dumps(submitted, indent=2, sort_keys=True))
                 return 0

@@ -28,14 +28,9 @@ from .figures import (
     FIGURES,
     FigureResult,
     figure_cell_config,
-    figure_channel_density,
-    figure5,
-    figure6,
-    figure7,
-    figure8,
-    figure9,
-    figure10,
+    figure_plan,
     git_vs_spt_table,
+    run_figure_plan,
 )
 from .inspect import (
     TreeStats,
@@ -112,15 +107,10 @@ __all__ = [
     "save_bench",
     "format_bench",
     "FigureResult",
-    "figure5",
-    "figure6",
-    "figure7",
-    "figure8",
-    "figure9",
-    "figure10",
+    "figure_plan",
+    "run_figure_plan",
     "git_vs_spt_table",
     "figure_cell_config",
-    "figure_channel_density",
     "FIGURES",
     "format_figure",
     "format_channel_figure",

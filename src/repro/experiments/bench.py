@@ -33,7 +33,8 @@ from typing import Union
 from ..diffusion.agent import DiffusionParams
 from ..net.channel import ChannelSpec
 from ..net.fieldcache import default_field_cache
-from .config import ExperimentConfig
+from .config import ExperimentConfig, smoke
+from .figures import FIGURES, figure_cell_config
 from .runner import run_observed
 from .sweeps import cell_seed, run_configs
 
@@ -48,16 +49,21 @@ __all__ = [
 
 BENCH_VERSION = 1
 
+#: the large-density figure, whose row owns the ``large`` workload's
+#: geometry; its runs ignore the profile, so any profile reads them
+_LARGE = FIGURES["large-density"]
+_LARGE_RUN = figure_cell_config("large-density", smoke(), "greedy", _LARGE.xs[0])
+
 #: named bench workloads (do not change casually: each profile is a
 #: comparison axis across PRs; bump BENCH_VERSION if one must move).
 #:
 #: * ``canonical`` — the headline: the paper's density band, both
 #:   schemes, paired trials.
 #: * ``quick`` — CI-smoke variant of canonical (~10x cheaper).
-#: * ``large`` — the scale profile: 2 000–5 000 nodes on an 800 m field
-#:   (mean radio degree ~16..39), single scheme/trial, short runs.  It
-#:   times the PHY fan-out far past the paper's sizes and feeds the
-#:   large-field density figure.
+#: * ``large`` — the scale profile: the ``large-density`` figure's
+#:   2 000–5 000 nodes on an 800 m field (mean radio degree ~16..39) and
+#:   short runs, single scheme/trial.  It times the PHY fan-out far past
+#:   the paper's sizes.
 #: * ``large-quick`` — CI-smoke variant of large (one 2 000-node run).
 #: * ``pathloss`` — canonical geometry under the pathloss/SINR channel
 #:   (default :class:`~repro.net.channel.ChannelSpec` pathloss block):
@@ -81,13 +87,13 @@ WORKLOADS: dict[str, dict] = {
         "exploratory_interval": 6.0,
     },
     "large": {
-        "densities": (2000, 3500, 5000),
+        "densities": _LARGE.xs,
         "schemes": ("greedy",),
         "trials": 1,
-        "duration": 10.0,
-        "warmup": 4.0,
-        "exploratory_interval": 6.0,
-        "field_size": 800.0,
+        "duration": _LARGE_RUN.duration,
+        "warmup": _LARGE_RUN.warmup,
+        "exploratory_interval": _LARGE_RUN.diffusion.exploratory_interval,
+        "field_size": _LARGE_RUN.field_size,
     },
     "large-quick": {
         "densities": (2000,),

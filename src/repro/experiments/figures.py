@@ -1,8 +1,17 @@
-"""One harness function per evaluation figure (figs 5-10 + the GIT/SPT
-related-work table).  Each returns a :class:`FigureResult` whose rows are
-the same series the paper plots: for every sweep value and scheme, the
-three panel metrics — (a) average dissipated energy, (b) average delay,
-(c) distinct-event delivery ratio.
+"""The evaluation figures: one table, one planner, one runner.
+
+Every figure is one row of :data:`FIGURES` — title, x label, default
+sweep, cell labels and config builder — for the paper's figs 5-10 and two
+beyond-paper studies (``large-density``, ``channel-density``).
+:func:`figure_plan` turns a row into the deterministic run plan of a
+:class:`FigurePlan`, and :func:`run_figure_plan` runs it into a
+:class:`FigureResult` whose rows are the series the paper plots: for every
+sweep value and scheme, the three panel metrics — (a) average dissipated
+energy, (b) average delay, (c) distinct-event delivery ratio::
+
+    result = run_figure_plan(figure_plan("fig5", fast()), workers=4)
+
+:func:`git_vs_spt_table` computes the GIT/SPT related-work table.
 
 See DESIGN.md §5 for the experiment index and EXPERIMENTS.md for measured
 numbers.
@@ -11,7 +20,7 @@ numbers.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from ..diffusion.agent import DiffusionParams
 from ..net.channel import ChannelSpec
@@ -41,21 +50,9 @@ __all__ = [
     "figure_from_results",
     "run_figure_plan",
     "figure_cell_config",
-    "figure5",
-    "figure6",
-    "figure7",
-    "figure8",
-    "figure9",
-    "figure10",
-    "figure_large_density",
-    "figure_channel_density",
-    "LARGE_DENSITY_SWEEP",
     "git_vs_spt_table",
     "FIGURES",
 ]
-
-#: the beyond-paper density sweep (large-field study; see WORKLOADS["large"])
-LARGE_DENSITY_SWEEP = (2000, 3500, 5000)
 
 
 @dataclass(frozen=True)
@@ -112,6 +109,26 @@ class FigurePlan:
         return [cfg for _label, _x, cfg in self.plan]
 
 
+#: ``make_config(cell label, x, seed)``: one cell member's run config
+_MakeConfig = Callable[[str, object, int], ExperimentConfig]
+
+
+@dataclass(frozen=True)
+class _Figure:
+    """One row of :data:`FIGURES`."""
+
+    #: ``{n}`` stands for the field size of the source/sink sweeps
+    title: str
+    x_label: str
+    #: the default sweep values
+    xs: tuple
+    #: ``configs(profile, n_nodes, channel)`` -> ``make_config(label, x, seed)``
+    configs: Callable[[Profile, int, Optional[ChannelSpec]], _MakeConfig]
+    labels: tuple[str, ...] = COMPARISON_SCHEMES
+    #: one of the paper's §5 figures (``repro all`` runs these)
+    paper: bool = True
+
+
 def _base(profile: Profile, **overrides) -> ExperimentConfig:
     cfg = ExperimentConfig(
         scheme="greedy",
@@ -124,98 +141,137 @@ def _base(profile: Profile, **overrides) -> ExperimentConfig:
     return replace(cfg, **overrides) if overrides else cfg
 
 
-#: per-figure (title template, x_label, default sweep, sweep field, base
-#: builder).  ``{n}`` in a title is the fixed node count of the
-#: source/sink sweeps; base builders take ``(profile, n_nodes)``.
-_FIG_DEFS: dict = {
-    "fig5": (
+def _swept(field: str, base: Callable[[Profile, int], ExperimentConfig]):
+    """A row's config builder: each cell sets ``field`` to its sweep value.
+
+    ``base(profile, n_nodes)`` is the row's base config; ``channel``, if
+    given, replaces its channel in every cell.
+    """
+
+    def configs(
+        profile: Profile, n_nodes: int, channel: Optional[ChannelSpec]
+    ) -> _MakeConfig:
+        cfg = base(profile, n_nodes)
+        if channel is not None:
+            cfg = replace(cfg, channel=channel)
+
+        def make_config(scheme: str, x, seed: int) -> ExperimentConfig:
+            return replace(cfg, scheme=scheme, seed=seed, **{field: x})
+
+        return make_config
+
+    return configs
+
+
+def _large_base(profile: Profile, n_nodes: int) -> ExperimentConfig:
+    """The large-field study's runs: 10 s (4 s warm-up) with a 6 s
+    exploratory interval on an 800 m field, whatever the profile —
+    thousands of nodes at a profile's durations would take hours.  The
+    profile still supplies the trial count."""
+    return _base(
+        profile,
+        duration=10.0,
+        warmup=4.0,
+        field_size=800.0,
+        diffusion=DiffusionParams(exploratory_interval=6.0),
+    )
+
+
+#: the pathloss spec the channel-density figure compares against disc
+#: (defaults: same nominal ~40 m reach, SINR capture on, one band)
+CHANNEL_STUDY_SPEC = ChannelSpec(model="pathloss")
+
+
+def _channel_configs(
+    profile: Profile, n_nodes: int, channel: Optional[ChannelSpec]
+) -> _MakeConfig:
+    """Fig 5's density sweep on disc and on pathloss.
+
+    Cells are labeled ``<scheme>@<channel>``.  :func:`cell_seed` ignores
+    the label and geometry is always drawn on the nominal disc range, so
+    for a given (density, trial) all four series share one field, its
+    sources and its sink: the deltas are pure channel effects (SINR
+    capture resolving overlaps vs disc corruption), not field resampling
+    noise.  ``channel`` replaces the pathloss side's spec
+    (:data:`CHANNEL_STUDY_SPEC`) and must be a pathloss spec.
+    """
+    spec = CHANNEL_STUDY_SPEC if channel is None else channel
+    if spec.model != "pathloss":
+        raise ValueError("the channel-density study needs a pathloss spec")
+    base = _base(profile)
+    disc = ChannelSpec()
+
+    def make_config(label: str, x, seed: int) -> ExperimentConfig:
+        scheme, _, chan = label.partition("@")
+        ch = disc if chan == "disc" else spec
+        return replace(base, scheme=scheme, seed=seed, n_nodes=x, channel=ch)
+
+    return make_config
+
+
+#: every figure by id.  Figs 8-10 sweep on a fixed field, by default the
+#: paper's densest (``DENSITY_SWEEP[-1]``, 350 nodes).
+FIGURES: dict[str, _Figure] = {
+    # the headline: 5 corner sources, 1 corner sink, perfect aggregation
+    "fig5": _Figure(
         "Greedy vs opportunistic aggregation across density",
-        "nodes", DENSITY_SWEEP, "n_nodes",
-        lambda profile, n: _base(profile),
+        "nodes", DENSITY_SWEEP,
+        _swept("n_nodes", lambda profile, n: _base(profile)),
     ),
-    "fig6": (
+    # fig 5's sweep under rotating 20% node failures (§5.3)
+    "fig6": _Figure(
         "Impact of node failures (20% down, rotating epochs)",
-        "nodes", DENSITY_SWEEP, "n_nodes",
-        lambda profile, n: _base(
+        "nodes", DENSITY_SWEEP,
+        _swept("n_nodes", lambda profile, n: _base(
             profile, failures=FailureModel(fraction=0.2, epoch=profile.failure_epoch)
-        ),
+        )),
     ),
-    "fig7": (
+    # random source placement (§5.4: savings shrink to ~30%)
+    "fig7": _Figure(
         "Impact of random source placement",
-        "nodes", DENSITY_SWEEP, "n_nodes",
-        lambda profile, n: _base(profile, source_placement="random"),
+        "nodes", DENSITY_SWEEP,
+        _swept("n_nodes", lambda profile, n: _base(profile, source_placement="random")),
     ),
-    "fig8": (
+    # 1-5 sinks, the first at the corner, the rest scattered
+    "fig8": _Figure(
         "Impact of the number of sinks ({n} nodes)",
-        "sinks", SINK_SWEEP, "n_sinks",
-        lambda profile, n: _base(profile, n_nodes=n),
+        "sinks", SINK_SWEEP,
+        _swept("n_sinks", lambda profile, n: _base(profile, n_nodes=n)),
     ),
-    "fig9": (
+    # 2-14 corner sources
+    "fig9": _Figure(
         "Impact of the number of sources ({n} nodes)",
-        "sources", SOURCE_SWEEP, "n_sources",
-        lambda profile, n: _base(profile, n_nodes=n),
+        "sources", SOURCE_SWEEP,
+        _swept("n_sources", lambda profile, n: _base(profile, n_nodes=n)),
     ),
-    "fig10": (
+    # fig 9's sweep under linear aggregation (header savings only)
+    "fig10": _Figure(
         "Impact of linear aggregation ({n} nodes)",
-        "sources", SOURCE_SWEEP, "n_sources",
-        lambda profile, n: _base(profile, n_nodes=n, aggregation="linear"),
+        "sources", SOURCE_SWEEP,
+        _swept("n_sources", lambda profile, n: _base(
+            profile, n_nodes=n, aggregation="linear"
+        )),
     ),
-    "large-density": (
+    # fig 5's question past the paper's 350 nodes: 2 000-5 000 nodes on
+    # an 800 m field (mean radio degree ~16..39)
+    "large-density": _Figure(
         "Density vs delivered data at scale (800 m field)",
-        "nodes", LARGE_DENSITY_SWEEP, "n_nodes",
-        lambda profile, n: _large_base(profile),
+        "nodes", (2000, 3500, 5000),
+        _swept("n_nodes", _large_base),
+        paper=False,
     ),
-}
-
-
-def _spec(
-    figure_id: str,
-    profile: Profile,
-    channel: Optional[ChannelSpec] = None,
-    n_nodes: int = 350,
-    xs: Optional[Sequence] = None,
-):
-    """Resolve one figure's ``(title, x_label, xs, labels, make_config)``."""
-    if figure_id == "channel-density":
-        spec = CHANNEL_STUDY_SPEC if channel is None else channel
-        if spec.model != "pathloss":
-            raise ValueError("the channel-density study needs a pathloss spec")
-        base = _base(profile)
-        labels = tuple(
+    "channel-density": _Figure(
+        "Density sweep under disc vs pathloss/SINR channels",
+        "nodes", DENSITY_SWEEP,
+        _channel_configs,
+        labels=tuple(
             f"{scheme}@{chan}"
             for chan in ("disc", "pathloss")
             for scheme in COMPARISON_SCHEMES
-        )
-
-        def make_channel_config(label: str, x, seed: int) -> ExperimentConfig:
-            scheme, _, chan = label.partition("@")
-            ch = ChannelSpec() if chan == "disc" else spec
-            return replace(base, scheme=scheme, seed=seed, n_nodes=x, channel=ch)
-
-        return (
-            "Density sweep under disc vs pathloss/SINR channels",
-            "nodes",
-            DENSITY_SWEEP if xs is None else xs,
-            labels,
-            make_channel_config,
-        )
-    if figure_id not in _FIG_DEFS:
-        raise KeyError(f"unknown figure {figure_id!r} (have {sorted(FIGURES)})")
-    title, x_label, default_xs, sweep_field, base_fn = _FIG_DEFS[figure_id]
-    base = base_fn(profile, n_nodes)
-    if channel is not None:
-        base = replace(base, channel=channel)
-
-    def make_config(scheme: str, x, seed: int) -> ExperimentConfig:
-        return replace(base, scheme=scheme, seed=seed, **{sweep_field: x})
-
-    return (
-        title.format(n=n_nodes),
-        x_label,
-        default_xs if xs is None else xs,
-        COMPARISON_SCHEMES,
-        make_config,
-    )
+        ),
+        paper=False,
+    ),
+}
 
 
 def figure_plan(
@@ -223,23 +279,29 @@ def figure_plan(
     profile: Profile,
     trials: Optional[int] = None,
     channel: Optional[ChannelSpec] = None,
-    n_nodes: int = 350,
+    n_nodes: int = DENSITY_SWEEP[-1],
     xs: Optional[Sequence] = None,
 ) -> FigurePlan:
     """Build one figure's deterministic :class:`FigurePlan`.
 
-    The plan enumerates exactly the ``(cell label, x, config)`` triples
-    the in-process harness would run — same bases, same paired seeds —
-    so executing its configs elsewhere and reassembling with
-    :func:`figure_from_results` reproduces the figure bit for bit.
-    ``n_nodes`` fixes the field of the source/sink sweeps (figs 8-10);
-    ``xs`` overrides the default sweep values.
+    The plan enumerates the figure's ``(cell label, x, config)`` triples
+    with one seed per ``(x, trial)`` shared by all its cells, so executing
+    its configs anywhere and reassembling with :func:`figure_from_results`
+    reproduces the figure bit for bit.  ``n_nodes`` fixes the field of
+    the source/sink sweeps (figs 8-10); ``xs`` overrides the default sweep
+    values; ``channel`` replaces every cell's channel (the pathloss side's
+    for ``channel-density``).
     """
-    title, x_label, xs, labels, make_config = _spec(
-        figure_id, profile, channel=channel, n_nodes=n_nodes, xs=xs
+    try:
+        fig = FIGURES[figure_id]
+    except KeyError:
+        raise KeyError(f"unknown figure {figure_id!r} (have {sorted(FIGURES)})") from None
+    make_config = fig.configs(profile, n_nodes, channel)
+    plan = paired_plan(
+        profile, fig.xs if xs is None else xs, make_config, trials=trials,
+        schemes=fig.labels,
     )
-    plan = paired_plan(profile, xs, make_config, trials=trials, schemes=labels)
-    return FigurePlan(figure_id, title, x_label, tuple(plan))
+    return FigurePlan(figure_id, fig.title.format(n=n_nodes), fig.x_label, tuple(plan))
 
 
 def figure_from_results(fplan: FigurePlan, results: Sequence) -> FigureResult:
@@ -259,206 +321,11 @@ def run_figure_plan(
     progress=None,
     store: StoreArg = None,
 ) -> FigureResult:
-    """Execute a :class:`FigurePlan` in process (the classic path)."""
+    """Run a :class:`FigurePlan` through :func:`run_configs` into its figure."""
     results = run_configs(
         fplan.configs(), workers=workers, progress=progress, store=store
     )
     return figure_from_results(fplan, results)
-
-
-def _run(
-    figure_id: str,
-    profile: Profile,
-    xs: Sequence,
-    trials: Optional[int],
-    workers: int,
-    progress=None,
-    store: StoreArg = None,
-    channel: Optional[ChannelSpec] = None,
-    n_nodes: int = 350,
-) -> FigureResult:
-    fplan = figure_plan(
-        figure_id, profile, trials=trials, channel=channel, n_nodes=n_nodes, xs=xs
-    )
-    return run_figure_plan(fplan, workers=workers, progress=progress, store=store)
-
-
-def figure5(
-    profile: Profile,
-    densities: Sequence[int] = DENSITY_SWEEP,
-    trials: Optional[int] = None,
-    workers: int = 0,
-    progress=None,
-    store: StoreArg = None,
-    channel: Optional[ChannelSpec] = None,
-) -> FigureResult:
-    """Fig 5: greedy vs opportunistic across network density (the headline
-    comparison: 5 corner sources, 1 corner sink, perfect aggregation)."""
-    return _run(
-        "fig5", profile, densities, trials, workers, progress, store, channel=channel
-    )
-
-
-def figure6(
-    profile: Profile,
-    densities: Sequence[int] = DENSITY_SWEEP,
-    trials: Optional[int] = None,
-    workers: int = 0,
-    progress=None,
-    store: StoreArg = None,
-    channel: Optional[ChannelSpec] = None,
-) -> FigureResult:
-    """Fig 6: same sweep under rotating 20% node failures (§5.3)."""
-    return _run(
-        "fig6", profile, densities, trials, workers, progress, store, channel=channel
-    )
-
-
-def figure7(
-    profile: Profile,
-    densities: Sequence[int] = DENSITY_SWEEP,
-    trials: Optional[int] = None,
-    workers: int = 0,
-    progress=None,
-    store: StoreArg = None,
-    channel: Optional[ChannelSpec] = None,
-) -> FigureResult:
-    """Fig 7: random source placement (§5.4: savings shrink to ~30%)."""
-    return _run(
-        "fig7", profile, densities, trials, workers, progress, store, channel=channel
-    )
-
-
-def figure8(
-    profile: Profile,
-    sink_counts: Sequence[int] = SINK_SWEEP,
-    n_nodes: int = 350,
-    trials: Optional[int] = None,
-    workers: int = 0,
-    progress=None,
-    store: StoreArg = None,
-    channel: Optional[ChannelSpec] = None,
-) -> FigureResult:
-    """Fig 8: 1-5 sinks on the 350-node field (first at the corner, rest
-    scattered)."""
-    return _run(
-        "fig8", profile, sink_counts, trials, workers, progress, store,
-        channel=channel, n_nodes=n_nodes,
-    )
-
-
-def figure9(
-    profile: Profile,
-    source_counts: Sequence[int] = SOURCE_SWEEP,
-    n_nodes: int = 350,
-    trials: Optional[int] = None,
-    workers: int = 0,
-    progress=None,
-    store: StoreArg = None,
-    channel: Optional[ChannelSpec] = None,
-) -> FigureResult:
-    """Fig 9: 2-14 corner sources on the 350-node field."""
-    return _run(
-        "fig9", profile, source_counts, trials, workers, progress, store,
-        channel=channel, n_nodes=n_nodes,
-    )
-
-
-def figure10(
-    profile: Profile,
-    source_counts: Sequence[int] = SOURCE_SWEEP,
-    n_nodes: int = 350,
-    trials: Optional[int] = None,
-    workers: int = 0,
-    progress=None,
-    store: StoreArg = None,
-    channel: Optional[ChannelSpec] = None,
-) -> FigureResult:
-    """Fig 10: fig 9's sweep under *linear* aggregation (header savings
-    only) — the inefficient-aggregation sensitivity study."""
-    return _run(
-        "fig10", profile, source_counts, trials, workers, progress, store,
-        channel=channel, n_nodes=n_nodes,
-    )
-
-
-def _large_base(profile: Profile) -> ExperimentConfig:
-    """Base config of the large-field study.
-
-    Geometry and run length come from the ``large`` bench workload
-    (:data:`repro.experiments.bench.WORKLOADS`) rather than the figure
-    profile — thousands of nodes at the paper's 30-second durations would
-    take hours, and keeping the figure on the bench workload makes its
-    cells directly comparable to committed ``BENCH_sweep.json`` entries.
-    The profile still supplies the trial count.
-    """
-    from .bench import WORKLOADS
-
-    w = WORKLOADS["large"]
-    return _base(
-        profile,
-        n_nodes=w["densities"][0],
-        duration=w["duration"],
-        warmup=w["warmup"],
-        field_size=w["field_size"],
-        diffusion=DiffusionParams(exploratory_interval=w["exploratory_interval"]),
-    )
-
-
-def figure_large_density(
-    profile: Profile,
-    densities: Sequence[int] = LARGE_DENSITY_SWEEP,
-    trials: Optional[int] = None,
-    workers: int = 0,
-    progress=None,
-    store: StoreArg = None,
-    channel: Optional[ChannelSpec] = None,
-) -> FigureResult:
-    """Beyond-paper scale study: density vs delivered data on an 800 m
-    field (2 000–5 000 nodes, mean radio degree ~16..39).
-
-    Extends the paper's fig-5 question — does aggregation keep paying as
-    the network densifies? — past the 350-node band the paper measured,
-    on the ``large`` bench workload's short-run geometry.
-    """
-    return _run(
-        "large-density", profile, densities, trials, workers, progress, store,
-        channel=channel,
-    )
-
-
-#: the pathloss spec the channel-density figure compares against disc
-#: (defaults: same nominal ~40 m reach, SINR capture on, one band)
-CHANNEL_STUDY_SPEC = ChannelSpec(model="pathloss")
-
-
-def figure_channel_density(
-    profile: Profile,
-    densities: Sequence[int] = DENSITY_SWEEP,
-    trials: Optional[int] = None,
-    workers: int = 0,
-    progress=None,
-    store: StoreArg = None,
-    channel: Optional[ChannelSpec] = None,
-) -> FigureResult:
-    """Channel-axis study: fig 5's density sweep on disc vs pathloss.
-
-    Re-runs the headline density comparison under both channel models
-    with *paired seeds across channels*: :func:`cell_seed` ignores the
-    scheme label and geometry is always drawn on the nominal disc range,
-    so for a given (density, trial) all four series — both schemes on
-    both channels — share the exact same field, sources, and sink.  The
-    observed deltas are therefore pure channel effects (SINR capture
-    resolving overlaps vs disc corruption), not field resampling noise.
-
-    Cell labels are ``<scheme>@<channel>`` (e.g. ``greedy@pathloss``).
-    ``channel`` overrides the pathloss side's spec
-    (:data:`CHANNEL_STUDY_SPEC` by default; must be a pathloss spec).
-    """
-    return _run(
-        "channel-density", profile, densities, trials, workers, progress, store,
-        channel=channel,
-    )
 
 
 def figure_cell_config(
@@ -470,30 +337,26 @@ def figure_cell_config(
 ) -> ExperimentConfig:
     """Rebuild the exact config of one ``(scheme, x, trial)`` figure cell.
 
-    Mirrors how each ``figureN`` harness derives its base config and how
-    :func:`~repro.experiments.sweeps.paired_plan` seeds each trial, so
+    Builds the cell as :func:`figure_plan` does with its defaults, so
     ``repro timeline <figure-manifest> --cell greedy@150`` can re-run one
-    cell bit-identically.  Figure manifests persist cell ``x`` as a
-    float; integral values are coerced back to int before seeding because
+    cell bit-identically.  ``scheme`` must be one of the figure's cell
+    labels (``greedy@pathloss`` for ``channel-density``); any other raises
+    :class:`ValueError`.  Figure manifests persist cell ``x`` as a float;
+    integral values are coerced back to int before seeding because
     ``cell_seed`` hashes the *formatted* x (``"cell:150:0"`` and
     ``"cell:150.0:0"`` are different streams).
-
-    For the channel-density figure, ``scheme`` is a ``<scheme>@<channel>``
-    cell label (e.g. ``greedy@pathloss``); the pathloss side rebuilds with
-    :data:`CHANNEL_STUDY_SPEC` (custom specs passed to
-    :func:`figure_channel_density` do not round-trip through a label).
     """
-    if figure_id not in FIGURES:
-        raise KeyError(f"unknown figure {figure_id!r} (have {sorted(FIGURES)})")
+    try:
+        fig = FIGURES[figure_id]
+    except KeyError:
+        raise KeyError(f"unknown figure {figure_id!r} (have {sorted(FIGURES)})") from None
+    if scheme not in fig.labels:
+        raise ValueError(
+            f"{figure_id} has no {scheme!r} cells (have {', '.join(fig.labels)})"
+        )
     if isinstance(x, float) and x.is_integer():
         x = int(x)
-    if figure_id == "channel-density":
-        _, _, chan = scheme.partition("@")
-        if chan not in ("disc", "pathloss"):
-            raise ValueError(
-                f"channel-density cells are labeled <scheme>@<channel>, got {chan!r}"
-            )
-    _title, _x_label, _xs, _labels, make_config = _spec(figure_id, profile)
+    make_config = fig.configs(profile, DENSITY_SWEEP[-1], None)
     return make_config(scheme, x, cell_seed(0, x, trial))
 
 
@@ -511,15 +374,3 @@ def git_vs_spt_table(
         for n in n_nodes:
             rows.append(savings_study(placement, n, n_sources, trials, seed))
     return rows
-
-
-FIGURES = {
-    "fig5": figure5,
-    "fig6": figure6,
-    "fig7": figure7,
-    "fig8": figure8,
-    "fig9": figure9,
-    "fig10": figure10,
-    "large-density": figure_large_density,
-    "channel-density": figure_channel_density,
-}

@@ -76,8 +76,8 @@ def format_figure(result: FigureResult) -> str:
 def format_channel_figure(result: FigureResult) -> str:
     """Render the channel-density study: per-channel savings plus deltas.
 
-    Cells are labeled ``<scheme>@<channel>`` (see
-    :func:`~repro.experiments.figures.figure_channel_density`); each row
+    Cells are labeled ``<scheme>@<channel>`` (the ``channel-density``
+    row of :data:`~repro.experiments.figures.FIGURES`); each row
     shows both schemes' energy and delivery ratio on both channels, the
     greedy-over-opportunistic savings per channel, and the pathloss-vs-
     disc delivery-ratio delta for greedy (the headline robustness

@@ -28,8 +28,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterable, Optional, Union
 
-from .lineage import LineageIndex
-
 if TYPE_CHECKING:  # pragma: no cover
     from ..sim.trace import TraceRecord, Tracer
 
@@ -46,7 +44,6 @@ __all__ = [
     "audit_trace",
     "audit_static",
     "audit_figure_cells",
-    "lineage_conservation_findings",
     "format_findings",
 ]
 
@@ -487,41 +484,6 @@ def audit_figure_cells(cells: Iterable[dict[str, Any]]) -> list[AuditFinding]:
                     context={"cell": label, "n_runs": n_runs},
                 )
             )
-    return findings
-
-
-def lineage_conservation_findings(
-    index: LineageIndex, losses: int = 0
-) -> list[AuditFinding]:
-    """Check sink-side lineage against source-side generations.
-
-    Every delivered key must be generated (termination, also covered by
-    the stream checker) and the delivered set can be smaller than the
-    generated set by at most ``losses`` counted drops.
-    """
-    findings: list[AuditFinding] = []
-    delivered = index.delivered_keys()
-    generated = index.source_events()
-    orphans = delivered - generated
-    for key in sorted(orphans):
-        findings.append(
-            AuditFinding(
-                "lineage-termination",
-                f"delivered key {key} has no generation record",
-                context={"key": list(key)},
-            )
-        )
-    missing = len(generated) - len(delivered & generated)
-    if missing > losses:
-        findings.append(
-            AuditFinding(
-                "lineage-conservation",
-                f"{missing} generated events never delivered but only "
-                f"{losses} losses were counted",
-                severity="warning",
-                context={"undelivered": missing, "counted_losses": losses},
-            )
-        )
     return findings
 
 

@@ -54,8 +54,9 @@ def load_artifact(path: Union[str, Path]) -> tuple[str, dict[str, Any]]:
 
     Returns ``(kind, payload)`` with kind one of ``"run"`` (run manifest),
     ``"figure"`` (figure manifest), ``"store-entry"``,
-    ``"figure-result"``, or ``"timeline"`` (a saved probe timeline).
-    JSONL traces and unknown shapes raise ``ValueError`` — traces are for
+    ``"figure-result"``, ``"timeline"`` (a saved probe timeline) or
+    ``"chrome-trace"`` (which only ``repro timeline`` reads).  JSONL
+    traces and unknown shapes raise ``ValueError`` — traces are for
     ``repro audit``, not diff.
     """
     path = Path(path)
@@ -79,6 +80,8 @@ def load_artifact(path: Union[str, Path]) -> tuple[str, dict[str, Any]]:
         return "store-entry", data
     if "format_version" in data and "cells" in data:
         return "figure-result", data
+    if "traceEvents" in data:
+        return "chrome-trace", data
     raise ValueError(f"{path}: unrecognized artifact shape")
 
 
@@ -251,8 +254,8 @@ def diff_artifacts(
         out = diff_figure_cells(_cells_view(kind_a, data_a), _cells_view(kind_b, data_b))
     else:
         raise ValueError(
-            f"cannot diff {kind_a} against {kind_b}: artifact families do not match "
-            "(per-run, per-figure, and timeline artifacts only diff within their family)"
+            f"cannot diff {kind_a} against {kind_b}: per-run, per-figure, and "
+            "timeline artifacts only diff within their family"
         )
     out["a"] = {"path": str(path_a), "kind": kind_a}
     out["b"] = {"path": str(path_b), "kind": kind_b}

@@ -264,9 +264,6 @@ class MetricsRegistry:
     # ------------------------------------------------------------------
     # readout
     # ------------------------------------------------------------------
-    def kind_of(self, name: str) -> Optional[str]:
-        return self._kinds.get(name)
-
     def find(self, name: str, **labels: Any):
         """Existing instrument, or None (never creates)."""
         family = self._series.get(name)

@@ -28,7 +28,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Optional, Sequence
 
-from ..experiments.config import PROFILES, config_from_dict
+from ..experiments.config import DENSITY_SWEEP, PROFILES, config_from_dict
 from ..experiments.figures import FIGURES, FigurePlan, figure_from_results, figure_plan
 from ..experiments.persistence import figure_payload
 from ..experiments.store import canonical_json, run_key
@@ -219,7 +219,7 @@ def parse_request(data: Any) -> JobRequest:
             "figure": fplan.figure_id,
             "profile": data.get("profile", "fast"),
             "trials": data.get("trials"),
-            "n_nodes": data.get("n_nodes", 350),
+            "n_nodes": data.get("n_nodes", DENSITY_SWEEP[-1]),
             "n_configs": len(configs),
         }
 
@@ -256,7 +256,7 @@ def _parse_figure_plan(data: dict[str, Any]) -> FigurePlan:
     trials = data.get("trials")
     if trials is not None and (not isinstance(trials, int) or trials < 1):
         raise RequestError(f"trials must be a positive integer, got {trials!r}")
-    n_nodes = data.get("n_nodes", 350)
+    n_nodes = data.get("n_nodes", DENSITY_SWEEP[-1])
     if not isinstance(n_nodes, int) or n_nodes < 1:
         raise RequestError(f"n_nodes must be a positive integer, got {n_nodes!r}")
     xs = data.get("xs")

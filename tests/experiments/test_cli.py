@@ -69,6 +69,55 @@ class TestExecution:
         assert args.profile == "smoke"
         assert args.trials == 1
 
+    def test_all_command_runs_the_paper_rows_in_id_order(self, monkeypatch, capsys):
+        import repro.cli as cli
+
+        ran = []
+
+        def fake_run(fplan, **_kwargs):
+            ran.append((fplan.figure_id, len(fplan.plan)))
+            return fplan.figure_id
+
+        monkeypatch.setattr(cli, "run_figure_plan", fake_run)
+        monkeypatch.setattr(cli, "format_figure", lambda result: f"figure {result}")
+        monkeypatch.setattr(cli, "git_vs_spt_table", lambda: [])
+        monkeypatch.setattr(cli, "format_tree_table", lambda rows: "trees")
+        assert main(["all", "--profile", "smoke", "--trials", "1"]) == 0
+        assert [figure_id for figure_id, _n in ran] == [
+            "fig10", "fig5", "fig6", "fig7", "fig8", "fig9"
+        ]
+        # one trial: 7 densities or 5 sink/source counts, 2 schemes each
+        assert dict(ran) == {
+            "fig10": 10, "fig5": 14, "fig6": 14, "fig7": 14, "fig8": 10, "fig9": 10
+        }
+        out = capsys.readouterr().out
+        assert out.index("figure fig10") < out.index("figure fig9") < out.index("trees")
+
+    def test_client_submit_figure_sends_the_figure_spec(self, monkeypatch, capsys):
+        from repro.service.client import ServiceClient
+
+        sent = []
+
+        def fake_submit(self, spec):
+            sent.append(spec)
+            return {"job": {"id": "job-000001"}, "coalesced": False}
+
+        monkeypatch.setattr(ServiceClient, "submit", fake_submit)
+        rc = main([
+            "client", "submit", "--figure", "fig9", "--profile", "smoke",
+            "--n-nodes", "60", "--xs", "2", "5", "--priority", "3",
+            "--channel", "pathloss", "--bands", "2",
+        ])
+        assert rc == 0
+        (spec,) = sent
+        channel = spec.pop("channel")
+        assert spec == {
+            "kind": "figure", "figure": "fig9", "profile": "smoke",
+            "n_nodes": 60, "xs": [2, 5], "priority": 3,
+        }
+        assert channel["model"] == "pathloss" and channel["n_bands"] == 2
+        assert "job-000001" in capsys.readouterr().out
+
     def test_inspect_command(self, capsys):
         rc = main(["inspect", "-n", "60", "--sources", "3", "--duration", "25"])
         assert rc == 0

@@ -13,7 +13,7 @@ from dataclasses import replace
 import pytest
 
 from repro.experiments.config import ExperimentConfig, FailureModel, smoke
-from repro.experiments.figures import figure5
+from repro.experiments.figures import figure_plan, run_figure_plan
 from repro.experiments.metrics import RunMetrics
 from repro.experiments.store import (
     STORE_VERSION,
@@ -360,20 +360,21 @@ class TestInterruptedFigureResume:
 
         monkeypatch.setattr(sweeps_mod, "run_experiment", dying)
         store = RunStore(tmp_path)
+        fplan = figure_plan("fig5", profile, trials=1, xs=densities)
         with pytest.raises(SweepError):
-            figure5(profile, densities=densities, trials=1, store=store)
+            run_figure_plan(fplan, store=store)
         completed_first_pass = store.stats.persisted
         assert 0 < completed_first_pass < 2 * len(densities)
 
         # Pass 2: healed code, same store — only the missing tail runs.
         monkeypatch.setattr(sweeps_mod, "run_experiment", real_run)
         resumed_store = RunStore(tmp_path)
-        resumed = figure5(profile, densities=densities, trials=1, store=resumed_store)
+        resumed = run_figure_plan(fplan, store=resumed_store)
         assert resumed_store.stats.hits == completed_first_pass
         assert resumed_store.stats.misses == 2 * len(densities) - completed_first_pass
 
         # Reference: one uninterrupted serial run, no store involved.
-        reference = figure5(profile, densities=densities, trials=1)
+        reference = run_figure_plan(fplan)
         assert resumed == reference  # frozen dataclasses: bit-identical floats
 
     def test_resume_runs_only_missing_tail(self, tmp_path, monkeypatch):
@@ -401,7 +402,7 @@ class TestManifestStoreBlock:
 
         profile = smoke()
         store = RunStore(tmp_path)
-        result = figure5(profile, densities=[50], trials=1, store=store)
+        result = run_figure_plan(figure_plan("fig5", profile, trials=1, xs=[50]), store=store)
         manifest = build_figure_manifest(
             result,
             profile,

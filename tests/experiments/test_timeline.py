@@ -262,6 +262,12 @@ class TestCli:
         assert main(["timeline", str(fig)]) == 2
         assert "--cell" in capsys.readouterr().err
 
+    def test_timeline_verb_rejects_a_cell_outside_the_figure(self, tmp_path, capsys):
+        fig = tmp_path / "fig.json"
+        fig.write_text(json.dumps({"figure_id": "fig5", "cells": []}))
+        assert main(["timeline", str(fig), "--cell", "flooding@150"]) == 2
+        assert "no 'flooding' cells" in capsys.readouterr().err
+
     def test_timeline_verb_rejects_chrome_trace_without_counters(self, tmp_path, capsys):
         # what `client trace --chrome-trace` writes without --timeline-key:
         # span slices only, so there is no timeline to render

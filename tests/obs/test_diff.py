@@ -54,6 +54,12 @@ class TestLoadArtifact:
         p = write_json(tmp_path / "f.json", {"format_version": 1, "cells": []})
         assert load_artifact(p)[0] == "figure-result"
 
+    def test_chrome_trace(self, tmp_path):
+        p = write_json(tmp_path / "t.json", {"traceEvents": []})
+        assert load_artifact(p)[0] == "chrome-trace"
+        with pytest.raises(ValueError, match="cannot diff chrome-trace"):
+            diff_artifacts(p, p)
+
     def test_jsonl_trace_rejected(self, tmp_path):
         p = tmp_path / "t.jsonl"
         p.write_text('{"type": "record"}\n{"type": "record"}\n')

@@ -139,8 +139,10 @@ class TestCli:
              "store entry", "repro audit"),
             ({"format_version": 1, "figure_id": "fig5", "cells": []},
              "figure result", "repro audit"),
+            ({"traceEvents": [], "displayTimeUnit": "ms"},
+             "chrome trace", "repro timeline"),
         ],
-        ids=["timeline", "store-entry", "figure-result"],
+        ids=["timeline", "store-entry", "figure-result", "chrome-trace"],
     )
     def test_stats_names_the_reader_of_other_artifacts(
         self, tmp_path, capsys, artifact, kind, reader
