@@ -523,22 +523,17 @@ def build_parser() -> argparse.ArgumentParser:
     timeline_p.add_argument(
         "target",
         help="timeline JSON, Chrome trace, store entry, run manifest, "
-        "or figure manifest/result (the latter need --cell)",
+        "or figure manifest (the latter needs --cell)",
     )
     timeline_p.add_argument(
         "--cell",
         metavar="SCHEME@X",
-        help="which figure cell to re-run (e.g. greedy@150; channel-density "
+        help="which figure-manifest cell to re-run, under the profile and "
+        "channel the manifest records (e.g. greedy@150; channel-density "
         "cells are scheme@channel@x, e.g. greedy@pathloss@150)",
     )
     timeline_p.add_argument(
         "--trial", type=int, default=0, help="trial index for figure-cell re-runs"
-    )
-    timeline_p.add_argument(
-        "--profile",
-        choices=sorted(PROFILES),
-        default="fast",
-        help="profile for figure-result re-runs (figure manifests embed theirs)",
     )
     timeline_p.add_argument(
         "--interval",
@@ -737,6 +732,7 @@ def _cmd_fig(args: argparse.Namespace) -> int:
             workers=args.workers,
             result_path=args.save,
             store=_store_block(store, args.store) if store is not None else None,
+            channel=channel,
         )
         print(f"manifest: {save_manifest(manifest, manifest_path_for(args.save))}")
     if args.csv:
@@ -746,32 +742,52 @@ def _cmd_fig(args: argparse.Namespace) -> int:
     return 0
 
 
-#: the verb that reads each JSON artifact ``stats`` does not
+#: the verbs that read each kind of artifact that
+#: :func:`~repro.obs.load_artifact` returns
 _ARTIFACT_READERS = {
-    "timeline": "repro timeline",
-    "chrome-trace": "repro timeline",
-    "store-entry": "repro audit",
-    "figure-result": "repro audit",
+    "run": ("stats", "audit", "diff", "timeline"),
+    "figure": ("stats", "audit", "diff", "timeline"),
+    "store-entry": ("audit", "diff", "timeline"),
+    "figure-result": ("audit", "diff"),
+    "timeline": ("diff", "timeline"),
+    "chrome-trace": ("timeline",),
+    "trace": ("stats", "audit"),
+}
+
+#: what else a verb says when it refuses one of these kinds
+_ARTIFACT_NOTES = {
+    "figure-result": "its manifest {manifest} records how it was run",
+    "trace": "a JSONL trace holds records, not a timeline "
+    "(record one with 'repro run --timeline-out')",
 }
 
 
-def _is_jsonl_trace(path) -> bool:
-    """Whether the file's first line is a JSONL trace's ``meta`` header."""
-    import json
+def _read_artifact(verb: str, path) -> tuple[str, dict]:
+    """Classify ``path`` with :func:`~repro.obs.load_artifact` for ``verb``.
 
-    try:
-        with open(path) as fh:
-            head = json.loads(fh.readline())
-    except ValueError:  # not JSON, or not text
-        return False
-    return isinstance(head, dict) and head.get("type") == "meta"
+    Raises ``OSError`` or ``ValueError`` for a file that cannot be read,
+    that is no artifact, or whose kind ``verb`` does not read; each
+    artifact verb prints the message and exits 2.
+    """
+    from .experiments.persistence import manifest_path_for
+    from .obs import load_artifact
+
+    kind, data = load_artifact(path)
+    readers = _ARTIFACT_READERS[kind]
+    if verb not in readers:
+        reason = f"{path} is a {kind.replace('-', ' ')}, which 'repro {verb}' does not read"
+        if kind in _ARTIFACT_NOTES:
+            reason += "; " + _ARTIFACT_NOTES[kind].format(manifest=manifest_path_for(path))
+        raise ValueError(
+            f"{reason}; read it with " + " or ".join(f"'repro {v}'" for v in readers)
+        )
+    return kind, data
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    import json
     from pathlib import Path
 
-    from .obs import format_manifest, load_artifact, load_manifest, trace_summary
+    from .obs import format_manifest, trace_summary
 
     if args.list_categories:
         width = max(len(name) for name in TRACE_CATEGORIES)
@@ -782,30 +798,19 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         print("stats: a manifest/trace path is required (or --list-categories)", file=sys.stderr)
         return 2
     path = Path(args.file)
-    if not path.exists():
-        print(f"no such file: {path}", file=sys.stderr)
-        return 1
     try:
-        kind, _ = load_artifact(path)
-    except ValueError:
-        kind = None  # JSONL traces and unknown shapes land here
-    if kind in ("run", "figure"):
-        print(format_manifest(load_manifest(path), top_counters=args.top))
-        return 0
-    if kind is not None:
-        print(
-            f"stats: {path} is a {kind.replace('-', ' ')}, not a manifest or JSONL "
-            f"trace; read it with '{_ARTIFACT_READERS[kind]}'",
-            file=sys.stderr,
-        )
+        kind, data = _read_artifact("stats", path)
+    except (OSError, ValueError) as exc:
+        print(f"stats: {exc}", file=sys.stderr)
         return 2
+    if kind != "trace":
+        print(format_manifest(data, top_counters=args.top))
+        return 0
     try:
-        summary = trace_summary(path) if _is_jsonl_trace(path) else None
-    except json.JSONDecodeError:
-        summary = None  # a torn line further down
-    if summary is None:
-        print(f"not a manifest or JSONL trace: {path}", file=sys.stderr)
-        return 1
+        summary = trace_summary(path)
+    except ValueError as exc:  # a torn line past the header
+        print(f"stats: {path}: bad trace line: {exc}", file=sys.stderr)
+        return 2
     t_min, t_max = summary["time_span"]
     span = f"{t_min:.3f} .. {t_max:.3f} s" if t_min is not None else "empty"
     print(f"trace {summary['path']} (v{summary['trace_version']})")
@@ -829,31 +834,24 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     )
 
     path = Path(args.file)
-    if not path.exists():
-        print(f"no such file: {path}", file=sys.stderr)
-        return 2
     try:
-        data = json.loads(path.read_text())
-        is_artifact = isinstance(data, dict)
-    except json.JSONDecodeError:
-        is_artifact = False  # JSONL traces land here
-    if is_artifact:
-        if "cells" in data:  # figure manifest or saved figure result
-            findings = audit_figure_cells(data["cells"])
-            mode = "static (figure cells)"
-        elif "metrics" in data:  # run manifest or store entry
-            findings = audit_static(data["metrics"])
-            mode = "static (run metrics)"
-        else:
-            print(f"not an auditable artifact: {path}", file=sys.stderr)
-            return 2
-    else:
+        kind, data = _read_artifact("audit", path)
+    except (OSError, ValueError) as exc:
+        print(f"audit: {exc}", file=sys.stderr)
+        return 2
+    if kind == "trace":
         try:
             findings = audit_trace(path)
-        except (json.JSONDecodeError, ValueError) as exc:
-            print(f"not a manifest, store entry, or JSONL trace: {exc}", file=sys.stderr)
+        except ValueError as exc:  # a torn line past the header
+            print(f"audit: {path}: bad trace line: {exc}", file=sys.stderr)
             return 2
         mode = "stream (trace replay)"
+    elif kind in ("figure", "figure-result"):
+        findings = audit_figure_cells(data["cells"])
+        mode = "static (figure cells)"
+    else:  # a run manifest or a store entry
+        findings = audit_static(data["metrics"])
+        mode = "static (run metrics)"
     if args.json:
         print(
             json.dumps(
@@ -879,9 +877,11 @@ def _cmd_diff(args: argparse.Namespace) -> int:
     from .obs.diff import diff_artifacts, format_diff
 
     try:
+        for path in (args.a, args.b):
+            _read_artifact("diff", path)
         diff = diff_artifacts(args.a, args.b)
-    except (ValueError, OSError) as exc:
-        print(f"diff failed: {exc}", file=sys.stderr)
+    except (OSError, ValueError) as exc:
+        print(f"diff: {exc}", file=sys.stderr)
         return 2
     if args.json:
         print(json.dumps(diff, indent=2, sort_keys=True))
@@ -904,41 +904,27 @@ def _timeline_from_live_run(cfg, interval) -> "object":
 def _load_timeline_target(args: argparse.Namespace):
     """Resolve the ``timeline`` verb's target to ``(Timeline, source)``.
 
-    Accepts, in classification order: a saved timeline JSON (standalone
-    or store-persisted), a Chrome trace, a store entry or run manifest
-    (stored timeline if present, else a live re-run from the embedded
-    config), or a figure manifest/result (live re-run of one ``--cell``).
-    A JSONL trace holds records, not a timeline, and is rejected.
+    A saved timeline renders as it is, a Chrome trace through its counter
+    tracks.  A store entry or run manifest renders the timeline stored
+    with it, else re-runs its config; a figure manifest re-runs one
+    ``--cell`` under the profile and channel it records.
     """
     import json
     from pathlib import Path
 
     from .experiments import config_from_dict, figure_cell_config
+    from .net.channel import ChannelSpec
     from .obs import Timeline, chrome_trace_to_timeline
 
     path = Path(args.target)
-    if not path.exists():
-        raise FileNotFoundError(f"no such file: {path}")
-    if _is_jsonl_trace(path):
-        raise ValueError(
-            f"{path}: a JSONL trace holds records, not a timeline; "
-            "record one with 'repro run --timeline-out'"
-        )
-    try:
-        data = json.loads(path.read_text())
-    except json.JSONDecodeError:
-        data = None
-    if not isinstance(data, dict):
-        raise ValueError(f"{path}: not a JSON object")
-    if "timeline_version" in data:
+    kind, data = _read_artifact("timeline", path)
+    if kind == "timeline":
         return Timeline.from_dict(data), "timeline artifact"
-    if "traceEvents" in data:
+    if kind == "chrome-trace":
         return chrome_trace_to_timeline(path), "chrome trace"
-    if "store_version" in data and "identity" in data:
-        # store entry: prefer the persisted sibling timeline
-        root = path.parent.parent
-        key = data.get("key", path.stem)
-        sibling = root / "timelines" / f"{key}.json"
+    if kind == "store-entry":
+        # prefer the persisted sibling timeline
+        sibling = path.parent.parent / "timelines" / f"{data.get('key', path.stem)}.json"
         if sibling.exists():
             return (
                 Timeline.from_dict(json.loads(sibling.read_text())),
@@ -946,9 +932,8 @@ def _load_timeline_target(args: argparse.Namespace):
             )
         cfg = config_from_dict(data["identity"]["config"])
         return _timeline_from_live_run(cfg, args.interval), "live re-run (store entry)"
-    if data.get("manifest_version") is not None and data.get("kind") == "run":
-        tl_block = data.get("timeline") or {}
-        tl_path = tl_block.get("path")
+    if kind == "run":
+        tl_path = (data.get("timeline") or {}).get("path")
         if tl_path and Path(tl_path).exists():
             return (
                 Timeline.from_dict(json.loads(Path(tl_path).read_text())),
@@ -956,28 +941,29 @@ def _load_timeline_target(args: argparse.Namespace):
             )
         cfg = config_from_dict(data["config"])
         return _timeline_from_live_run(cfg, args.interval), "live re-run (run manifest)"
-    if "cells" in data and "figure_id" in data:
-        # figure manifest or saved figure result: re-run one cell
-        if not args.cell:
-            raise ValueError(
-                "figure artifacts need --cell SCHEME@X (e.g. --cell greedy@150)"
-            )
-        # rpartition: channel-density cells are labeled scheme@channel@x
-        # (e.g. greedy@pathloss@150) — x is always the last @-field
-        scheme, _, x_str = args.cell.rpartition("@")
-        if not scheme:
-            raise ValueError(f"--cell must look like SCHEME@X, got {args.cell!r}")
-        profile_name = (data.get("profile") or {}).get("name", args.profile)
-        profile = PROFILES[profile_name]()
-        cfg = figure_cell_config(
-            data["figure_id"], profile, scheme, float(x_str), trial=args.trial
-        )
-        return (
-            _timeline_from_live_run(cfg, args.interval),
-            f"live re-run ({data['figure_id']} {args.cell} trial {args.trial}, "
-            f"profile {profile_name})",
-        )
-    raise ValueError(f"{path}: no timeline in this artifact shape")
+    # a figure manifest: re-run one cell
+    if not args.cell:
+        raise ValueError("figure artifacts need --cell SCHEME@X (e.g. --cell greedy@150)")
+    # rpartition: channel-density cells are labeled scheme@channel@x
+    # (e.g. greedy@pathloss@150) — x is always the last @-field
+    scheme, _, x_str = args.cell.rpartition("@")
+    if not scheme:
+        raise ValueError(f"--cell must look like SCHEME@X, got {args.cell!r}")
+    profile_name = data["profile"]["name"]
+    channel = data.get("channel")  # absent from older manifests: disc
+    cfg = figure_cell_config(
+        data["figure_id"],
+        PROFILES[profile_name](),
+        scheme,
+        float(x_str),
+        trial=args.trial,
+        channel=None if channel is None else ChannelSpec(**channel),
+    )
+    return (
+        _timeline_from_live_run(cfg, args.interval),
+        f"live re-run ({data['figure_id']} {args.cell} trial {args.trial}, "
+        f"profile {profile_name})",
+    )
 
 
 def _cmd_timeline(args: argparse.Namespace) -> int:
@@ -987,7 +973,7 @@ def _cmd_timeline(args: argparse.Namespace) -> int:
 
     try:
         timeline, source = _load_timeline_target(args)
-    except (FileNotFoundError, KeyError, ValueError) as exc:
+    except (KeyError, OSError, ValueError) as exc:
         print(f"timeline: {exc}", file=sys.stderr)
         return 2
     if args.chrome_trace:

@@ -334,14 +334,15 @@ def figure_cell_config(
     scheme: str,
     x,
     trial: int = 0,
+    channel: Optional[ChannelSpec] = None,
 ) -> ExperimentConfig:
     """Rebuild the exact config of one ``(scheme, x, trial)`` figure cell.
 
-    Builds the cell as :func:`figure_plan` does with its defaults, so
-    ``repro timeline <figure-manifest> --cell greedy@150`` can re-run one
-    cell bit-identically.  ``scheme`` must be one of the figure's cell
-    labels (``greedy@pathloss`` for ``channel-density``); any other raises
-    :class:`ValueError`.  Figure manifests persist cell ``x`` as a float;
+    Builds the cell as :func:`figure_plan` does with its defaults and
+    ``channel``, so ``repro timeline <figure-manifest> --cell greedy@150``
+    can re-run one cell bit-identically.  ``scheme`` must be one of the
+    figure's cell labels (``greedy@pathloss`` for ``channel-density``); any
+    other raises :class:`ValueError`.  Figure manifests persist cell ``x`` as a float;
     integral values are coerced back to int before seeding because
     ``cell_seed`` hashes the *formatted* x (``"cell:150:0"`` and
     ``"cell:150.0:0"`` are different streams).
@@ -356,7 +357,7 @@ def figure_cell_config(
         )
     if isinstance(x, float) and x.is_integer():
         x = int(x)
-    make_config = fig.configs(profile, DENSITY_SWEEP[-1], None)
+    make_config = fig.configs(profile, DENSITY_SWEEP[-1], channel)
     return make_config(scheme, x, cell_seed(0, x, trial))
 
 

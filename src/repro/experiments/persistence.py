@@ -26,7 +26,7 @@ from __future__ import annotations
 import csv
 import json
 from pathlib import Path
-from typing import Union
+from typing import Union, get_type_hints
 
 from ..obs.manifest import (
     build_figure_manifest,
@@ -58,6 +58,10 @@ def manifest_path_for(result_path: Union[str, Path]) -> Path:
 
 _FORMAT_VERSION = 1
 
+#: ``(name, type)`` of each :class:`CellSummary` field, in declaration
+#: order: the one list of a cell's JSON keys and CSV columns
+_CELL_FIELDS = tuple(get_type_hints(CellSummary).items())
+
 
 def figure_payload(result: FigureResult) -> dict:
     """The JSON-friendly dict of one figure result (lossless).
@@ -72,16 +76,7 @@ def figure_payload(result: FigureResult) -> dict:
         "title": result.title,
         "x_label": result.x_label,
         "cells": [
-            {
-                "scheme": c.scheme,
-                "x": c.x,
-                "energy": c.energy,
-                "energy_stdev": c.energy_stdev,
-                "delay": c.delay,
-                "ratio": c.ratio,
-                "n_runs": c.n_runs,
-                "distinct_delivered": c.distinct_delivered,
-            }
+            {name: getattr(c, name) for name, _type in _CELL_FIELDS}
             for c in result.cells
         ],
     }
@@ -106,16 +101,7 @@ def figure_from_payload(payload: dict) -> FigureResult:
     if version != _FORMAT_VERSION:
         raise ValueError(f"unsupported figure file version: {version!r}")
     cells = tuple(
-        CellSummary(
-            scheme=c["scheme"],
-            x=float(c["x"]),
-            energy=float(c["energy"]),
-            energy_stdev=float(c["energy_stdev"]),
-            delay=float(c["delay"]),
-            ratio=float(c["ratio"]),
-            n_runs=int(c["n_runs"]),
-            distinct_delivered=float(c["distinct_delivered"]),
-        )
+        CellSummary(**{name: kind(c[name]) for name, kind in _CELL_FIELDS})
         for c in payload["cells"]
     )
     return FigureResult(
@@ -130,33 +116,12 @@ def export_figure_csv(result: FigureResult, path: Union[str, Path]) -> Path:
     """Write one CSV row per cell (for spreadsheets / plotting tools)."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    rest = [name for name, _type in _CELL_FIELDS if name not in ("scheme", "x")]
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "figure_id",
-                result.x_label,
-                "scheme",
-                "energy",
-                "energy_stdev",
-                "delay",
-                "ratio",
-                "n_runs",
-                "distinct_delivered",
-            ]
-        )
+        writer.writerow(["figure_id", result.x_label, "scheme", *rest])
         for c in sorted(result.cells, key=lambda c: (c.x, c.scheme)):
             writer.writerow(
-                [
-                    result.figure_id,
-                    c.x,
-                    c.scheme,
-                    c.energy,
-                    c.energy_stdev,
-                    c.delay,
-                    c.ratio,
-                    c.n_runs,
-                    c.distinct_delivered,
-                ]
+                [result.figure_id, c.x, c.scheme, *(getattr(c, name) for name in rest)]
             )
     return path

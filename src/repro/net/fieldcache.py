@@ -28,13 +28,13 @@ The cache is per-process: parallel sweep workers each warm their own,
 and a cell's paired runs often land on different workers.  That miss is
 cheap: building one of the benchmark sweep's fields (50-125 nodes on the
 200 m field) took a median 1.9 ms on a 2-core Xeon host, against 320 ms
-for one of its runs.  ``REPRO_FIELD_CACHE=0`` disables caching globally;
-any other integer overrides the default capacity.
+for one of its runs.  The cache holds :data:`DEFAULT_FIELD_CACHE_SIZE`
+fields; ``FieldCache(maxsize=0)`` caches nothing, for a caller that
+needs a fresh build.
 """
 
 from __future__ import annotations
 
-import os
 import random
 import threading
 from collections import OrderedDict
@@ -152,16 +152,6 @@ class FieldCache:
         return f"<FieldCache {len(self._entries)}/{self.maxsize} hits={self.hits} misses={self.misses}>"
 
 
-def _configured_size() -> int:
-    raw = os.environ.get("REPRO_FIELD_CACHE")
-    if raw is None:
-        return DEFAULT_FIELD_CACHE_SIZE
-    try:
-        return max(0, int(raw))
-    except ValueError:
-        return DEFAULT_FIELD_CACHE_SIZE
-
-
 _default_cache: Optional[FieldCache] = None
 
 
@@ -169,7 +159,7 @@ def default_field_cache() -> FieldCache:
     """The per-process cache used by :func:`cached_field` by default."""
     global _default_cache
     if _default_cache is None:
-        _default_cache = FieldCache(_configured_size())
+        _default_cache = FieldCache()
     return _default_cache
 
 

@@ -1,10 +1,14 @@
-"""Structured diffs between persisted run artifacts.
+"""Artifact classification and structured diffs between artifacts.
 
-``repro diff a b`` compares any two of the formats the toolchain writes —
-run manifests, content-addressed store entries, figure manifests, and
-saved figure results — without caring which combination it got: run-like
-artifacts all embed a ``RunMetrics`` asdict, figure-like artifacts all
-embed a ``CellSummary`` list, so the diff works on the shared views.
+:func:`load_artifact` is the one place that decides what a file is; every
+artifact verb (``stats``, ``audit``, ``diff``, ``timeline``) dispatches
+on the kind it returns.
+
+``repro diff a b`` compares two run manifests or store entries, two
+figure manifests or saved figure results, or two timelines, without
+caring which combination it got: run-like artifacts all embed a
+``RunMetrics`` asdict, figure-like artifacts all embed a ``CellSummary``
+list, so the diff works on the shared views.
 
 The output is a plain JSON-ready dict (machine mode) with a table
 renderer on top (human mode).  ``equal`` is strict: any metric, counter,
@@ -17,7 +21,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Optional, Union
+from typing import Any, Union
 
 __all__ = [
     "load_artifact",
@@ -28,44 +32,47 @@ __all__ = [
     "format_diff",
 ]
 
-#: RunMetrics scalars compared between run-like artifacts
-_METRIC_FIELDS = (
-    "avg_dissipated_energy",
-    "avg_delay",
-    "delivery_ratio",
-    "total_energy_j",
-    "distinct_delivered",
-    "events_sent",
-    "mean_degree",
-    "time_to_first_death",
-    "time_to_half_delivery",
-)
-
 #: identity fields surfaced separately (a diff across these is a
 #: different experiment, not a regression)
 _IDENTITY_FIELDS = ("scheme", "n_nodes", "seed")
 
-#: CellSummary scalars compared between figure-like artifacts
-_CELL_FIELDS = ("energy", "energy_stdev", "delay", "ratio", "n_runs", "distinct_delivered")
+#: RunMetrics keys that are not scalars compared one by one
+_RUN_NON_SCALARS = (*_IDENTITY_FIELDS, "counters", "energy_by_class")
+
+#: the keys that match cells up between two figures
+_CELL_KEYS = ("scheme", "x")
 
 
 def load_artifact(path: Union[str, Path]) -> tuple[str, dict[str, Any]]:
-    """Load a JSON artifact and classify it.
+    """Load an artifact and classify it: the one classifier of every verb.
 
     Returns ``(kind, payload)`` with kind one of ``"run"`` (run manifest),
     ``"figure"`` (figure manifest), ``"store-entry"``,
-    ``"figure-result"``, ``"timeline"`` (a saved probe timeline) or
-    ``"chrome-trace"`` (which only ``repro timeline`` reads).  JSONL
-    traces and unknown shapes raise ``ValueError`` — traces are for
-    ``repro audit``, not diff.
+    ``"figure-result"``, ``"timeline"`` (a saved probe timeline),
+    ``"chrome-trace"`` or ``"trace"`` (a JSONL trace).  A trace is
+    recognized by its first line, the ``meta`` header, which is its
+    payload: the rest of the file is left for the streaming readers.
+    Raises ``OSError`` for a file it cannot open (``FileNotFoundError``
+    for a missing one) and ``ValueError`` for one that is no artifact.
     """
     path = Path(path)
+    if not path.exists():
+        raise FileNotFoundError(f"no such file: {path}")
     try:
-        data = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+        with path.open() as fh:
+            first = fh.readline()
+            try:
+                data = json.loads(first)
+            except ValueError:  # e.g. the "{" opening a pretty-printed document
+                data = None
+            if isinstance(data, dict) and data.get("type") == "meta":
+                return "trace", data
+            rest = fh.read()
+            if data is None or rest.strip():  # the first line was not the whole file
+                data = json.loads(first + rest)
+    except ValueError as exc:  # not JSON, or not text
         raise ValueError(
-            f"{path}: not a JSON artifact (JSONL traces cannot be diffed — "
-            "use 'repro audit' on traces)"
+            f"{path}: unrecognized artifact (neither JSON nor a JSONL trace)"
         ) from exc
     if not isinstance(data, dict):
         raise ValueError(f"{path}: not a JSON object")
@@ -85,16 +92,6 @@ def load_artifact(path: Union[str, Path]) -> tuple[str, dict[str, Any]]:
     raise ValueError(f"{path}: unrecognized artifact shape")
 
 
-def _run_view(kind: str, data: dict[str, Any]) -> dict[str, Any]:
-    """The RunMetrics asdict embedded in a run-like artifact."""
-    return data.get("metrics", {})
-
-
-def _cells_view(kind: str, data: dict[str, Any]) -> list[dict[str, Any]]:
-    """The CellSummary dicts embedded in a figure-like artifact."""
-    return list(data.get("cells", []))
-
-
 def _num_delta(a: Any, b: Any) -> dict[str, Any]:
     entry: dict[str, Any] = {"a": a, "b": b}
     if isinstance(a, (int, float)) and isinstance(b, (int, float)):
@@ -107,7 +104,11 @@ def _num_delta(a: Any, b: Any) -> dict[str, Any]:
 def diff_run_metrics(
     metrics_a: dict[str, Any], metrics_b: dict[str, Any]
 ) -> dict[str, Any]:
-    """Diff two RunMetrics asdicts (identity, scalars, classes, counters)."""
+    """Diff two RunMetrics asdicts (identity, scalars, classes, counters).
+
+    Every key outside the identity fields, ``counters`` and
+    ``energy_by_class`` is compared as a scalar.
+    """
     identity = {
         name: {"a": metrics_a.get(name), "b": metrics_b.get(name)}
         for name in _IDENTITY_FIELDS
@@ -115,8 +116,9 @@ def diff_run_metrics(
     }
     metrics = {
         name: _num_delta(metrics_a.get(name), metrics_b.get(name))
-        for name in _METRIC_FIELDS
-        if metrics_a.get(name) != metrics_b.get(name)
+        for name in {**metrics_a, **metrics_b}
+        if name not in _RUN_NON_SCALARS
+        and metrics_a.get(name) != metrics_b.get(name)
     }
 
     cls_a = metrics_a.get("energy_by_class") or {}
@@ -159,7 +161,10 @@ def diff_run_metrics(
 def diff_figure_cells(
     cells_a: list[dict[str, Any]], cells_b: list[dict[str, Any]]
 ) -> dict[str, Any]:
-    """Diff two figure cell lists, matched on ``(scheme, x)``."""
+    """Diff two figure cell lists, matched on ``(scheme, x)``.
+
+    Every other key of a cell is compared.
+    """
     index_a = {(c["scheme"], c["x"]): c for c in cells_a}
     index_b = {(c["scheme"], c["x"]): c for c in cells_b}
     only_a = sorted(f"{s}@{x:g}" for (s, x) in set(index_a) - set(index_b))
@@ -169,8 +174,8 @@ def diff_figure_cells(
         ca, cb = index_a[key], index_b[key]
         changed = {
             name: _num_delta(ca.get(name), cb.get(name))
-            for name in _CELL_FIELDS
-            if ca.get(name) != cb.get(name)
+            for name in {**ca, **cb}
+            if name not in _CELL_KEYS and ca.get(name) != cb.get(name)
         }
         if changed:
             cells[f"{key[0]}@{key[1]:g}"] = changed
@@ -249,9 +254,9 @@ def diff_artifacts(
     if kind_a == "timeline" and kind_b == "timeline":
         out = diff_timelines(data_a, data_b)
     elif kind_a in run_like and kind_b in run_like:
-        out = diff_run_metrics(_run_view(kind_a, data_a), _run_view(kind_b, data_b))
+        out = diff_run_metrics(data_a.get("metrics", {}), data_b.get("metrics", {}))
     elif kind_a in figure_like and kind_b in figure_like:
-        out = diff_figure_cells(_cells_view(kind_a, data_a), _cells_view(kind_b, data_b))
+        out = diff_figure_cells(data_a.get("cells", []), data_b.get("cells", []))
     else:
         raise ValueError(
             f"cannot diff {kind_a} against {kind_b}: per-run, per-figure, and "

@@ -29,6 +29,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..experiments.config import ExperimentConfig, Profile
     from ..experiments.figures import FigureResult
     from ..experiments.metrics import RunMetrics
+    from ..net.channel import ChannelSpec
     from ..sim.engine import Simulator
     from .registry import MetricsRegistry
 
@@ -125,11 +126,16 @@ def build_figure_manifest(
     workers: int = 0,
     result_path: Optional[Union[str, Path]] = None,
     store: Optional[dict[str, Any]] = None,
+    channel: Optional["ChannelSpec"] = None,
 ) -> dict[str, Any]:
     """Assemble the provenance manifest for one figure sweep.
 
-    ``store`` records run-store accounting when the sweep consulted a
-    content-addressed :class:`~repro.experiments.store.RunStore`:
+    ``channel`` is the sweep's channel spec, recorded as its asdict block
+    (``null`` when the sweep ran its figure's default channel), so
+    ``repro timeline <manifest> --cell`` re-runs a cell on the channel
+    the figure used.  ``store`` records run-store accounting when the
+    sweep consulted a content-addressed
+    :class:`~repro.experiments.store.RunStore`:
     ``{"path": ..., "hits": ..., "misses": ..., "persisted": ...,
     "skipped": ...}`` — so a resumed figure is distinguishable from one
     computed in a single pass.
@@ -148,6 +154,7 @@ def build_figure_manifest(
             "duration": profile.duration,
             "warmup": profile.warmup,
         },
+        "channel": dataclasses.asdict(channel) if channel is not None else None,
         "workers": workers,
         "wall_time_s": wall_time_s,
         "n_cells": len(result.cells),

@@ -188,7 +188,7 @@ def parse_request(data: Any) -> JobRequest:
     if unknown:
         raise RequestError(f"unknown request fields for kind {kind!r}: {sorted(unknown)}")
     priority = data.get("priority", DEFAULT_PRIORITY)
-    if not isinstance(priority, int) or isinstance(priority, bool):
+    if not _is_int(priority):
         raise RequestError(f"priority must be an integer, got {priority!r}")
 
     if kind == "run":
@@ -244,26 +244,31 @@ def _parse_config(raw: Any, where: str):
         raise RequestError(f"bad {where}: {exc}") from exc
 
 
+def _is_int(value: Any) -> bool:
+    """Whether a JSON value is an integer (``true`` and ``1.0`` are not)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _parse_figure_plan(data: dict[str, Any]) -> FigurePlan:
     figure_id = data.get("figure")
-    if figure_id not in FIGURES:
+    if not isinstance(figure_id, str) or figure_id not in FIGURES:
         raise RequestError(f"unknown figure {figure_id!r} (have {sorted(FIGURES)})")
     profile_name = data.get("profile", "fast")
-    if profile_name not in PROFILES:
+    if not isinstance(profile_name, str) or profile_name not in PROFILES:
         raise RequestError(
             f"unknown profile {profile_name!r} (have {sorted(PROFILES)})"
         )
     trials = data.get("trials")
-    if trials is not None and (not isinstance(trials, int) or trials < 1):
+    if trials is not None and (not _is_int(trials) or trials < 1):
         raise RequestError(f"trials must be a positive integer, got {trials!r}")
     n_nodes = data.get("n_nodes", DENSITY_SWEEP[-1])
-    if not isinstance(n_nodes, int) or n_nodes < 1:
+    if not _is_int(n_nodes) or n_nodes < 1:
         raise RequestError(f"n_nodes must be a positive integer, got {n_nodes!r}")
     xs = data.get("xs")
-    if xs is not None:
-        if not isinstance(xs, list) or not xs:
-            raise RequestError("xs must be a non-empty list of sweep values")
-        xs = [int(x) for x in xs]
+    if xs is not None and (
+        not isinstance(xs, list) or not xs or not all(_is_int(x) for x in xs)
+    ):
+        raise RequestError(f"xs must be a non-empty list of integers, got {xs!r}")
     channel = data.get("channel")
     if channel is not None:
         if not isinstance(channel, dict):

@@ -1,5 +1,7 @@
 """Tests for the command-line driver."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -125,3 +127,119 @@ class TestExecution:
         assert "live tree" in out
         assert "centralized references" in out
         assert "->" in out
+
+
+#: which verbs read which artifact kind; every other verb exits 2 and
+#: names these (mirrors ``repro.cli._ARTIFACT_READERS``)
+READERS = {
+    "run": {"stats", "audit", "diff", "timeline"},
+    "figure": {"stats", "audit", "diff", "timeline"},
+    "store-entry": {"audit", "diff", "timeline"},
+    "figure-result": {"audit", "diff"},
+    "timeline": {"diff", "timeline"},
+    "chrome-trace": {"timeline"},
+    "trace": {"stats", "audit"},
+}
+
+#: files that are no artifact, by name: (content, or None for a missing
+#: file; what every verb says about it)
+NOT_ARTIFACTS = {
+    "missing": (None, "no such file"),
+    "metrics-only": ('{"metrics": {}}', "unrecognized"),
+    "cells-only": ('{"cells": []}', "unrecognized"),
+    "not-json": ("this is not JSON\n", "unrecognized"),
+}
+
+
+@pytest.fixture(scope="module")
+def artifacts(tmp_path_factory):
+    """One file of each kind, from a real run and a real figure manifest."""
+    from repro.experiments.config import smoke
+    from repro.experiments.figures import FigureResult
+    from repro.experiments.persistence import (
+        build_figure_manifest,
+        save_figure_json,
+        save_manifest,
+    )
+    from repro.experiments.sweeps import CellSummary
+    from repro.obs import Timeline, write_chrome_trace
+
+    root = tmp_path_factory.mktemp("artifacts")
+    store = root / "store"
+    assert main([
+        "run", "-n", "30", "--duration", "10", "--warmup", "4",
+        "--trace-out", str(root / "trace.jsonl"),
+        "--manifest", str(root / "run.json"),
+        "--timeline-out", str(root / "timeline.json"),
+        "--store", str(store),
+    ]) == 0
+    timeline = Timeline.from_dict(json.loads((root / "timeline.json").read_text()))
+    write_chrome_trace(root / "chrome.json", timeline=timeline)
+    cells = tuple(
+        CellSummary(scheme, 50, 1e-4, 0.0, 0.2, 0.9, 1, 10.0)
+        for scheme in ("opportunistic", "greedy")
+    )
+    result = FigureResult("fig5", "Greedy vs opportunistic", "nodes", cells)
+    save_figure_json(result, root / "fig5.json")
+    save_manifest(
+        build_figure_manifest(result, smoke(), wall_time_s=1.0),
+        root / "fig5.manifest.json",
+    )
+    [entry] = (store / "runs").glob("*.json")
+    paths = {
+        "run": root / "run.json",
+        "figure": root / "fig5.manifest.json",
+        "store-entry": entry,
+        "figure-result": root / "fig5.json",
+        "timeline": root / "timeline.json",
+        "chrome-trace": root / "chrome.json",
+        "trace": root / "trace.jsonl",
+    }
+    for name, (content, _said) in NOT_ARTIFACTS.items():
+        paths[name] = root / f"{name}.json"
+        if content is not None:
+            paths[name].write_text(content)
+    return paths, timeline
+
+
+class TestArtifactVerbs:
+    def test_the_table_is_the_cli_table(self):
+        from repro.cli import _ARTIFACT_READERS
+
+        assert {kind: set(verbs) for kind, verbs in _ARTIFACT_READERS.items()} == READERS
+
+    @pytest.mark.parametrize("name", [*READERS, *NOT_ARTIFACTS])
+    @pytest.mark.parametrize("verb", ["stats", "audit", "diff", "timeline"])
+    def test_verb_reads_its_kinds_and_names_the_readers_of_others(
+        self, artifacts, monkeypatch, capsys, verb, name
+    ):
+        import repro.cli
+
+        paths, timeline = artifacts
+        # a figure cell re-run is the only live run a verb can start here
+        monkeypatch.setattr(repro.cli, "_timeline_from_live_run", lambda cfg, i: timeline)
+        path = str(paths[name])
+        argv = {"diff": ["diff", path, path], "timeline": ["timeline", path]}.get(
+            verb, [verb, path]
+        )
+        if verb == "timeline" and name == "figure":
+            argv += ["--cell", "greedy@50"]
+        rc = main(argv)
+        err = capsys.readouterr().err
+        if name in NOT_ARTIFACTS:
+            assert rc == 2
+            assert NOT_ARTIFACTS[name][1] in err
+        elif verb in READERS[name]:
+            assert (rc, err) == (0, "")
+        else:
+            assert rc == 2
+            assert f"is a {name.replace('-', ' ')}" in err
+            for reader in READERS[name]:
+                assert f"'repro {reader}'" in err
+
+    @pytest.mark.parametrize("verb", ["stats", "audit"])
+    def test_torn_trace_line_exits_2(self, tmp_path, capsys, verb):
+        path = tmp_path / "t.jsonl"
+        path.write_text('{"type": "meta", "trace_version": 1}\n{"type": "rec\n')
+        assert main([verb, str(path)]) == 2
+        assert "bad trace line" in capsys.readouterr().err

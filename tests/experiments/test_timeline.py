@@ -24,6 +24,17 @@ def cfg(**overrides):
     )
 
 
+def save_figure_manifest(path, channel=None):
+    """A real fig5 manifest (smoke profile, no cells) written to ``path``."""
+    from repro.experiments.figures import FigureResult
+    from repro.experiments.persistence import build_figure_manifest, save_manifest
+
+    result = FigureResult("fig5", "Greedy vs opportunistic", "nodes", ())
+    return save_manifest(
+        build_figure_manifest(result, smoke(), wall_time_s=0.0, channel=channel), path
+    )
+
+
 def timeline_dict(config, interval=None) -> dict:
     obs = ObsOptions(timeline=True, timeline_interval=interval)
     return run_observed(config, obs).timeline.as_dict()
@@ -257,16 +268,58 @@ class TestCli:
         assert "data.delivered" in out
 
     def test_timeline_verb_rejects_figure_without_cell(self, tmp_path, capsys):
-        fig = tmp_path / "fig.json"
-        fig.write_text(json.dumps({"figure_id": "fig5", "cells": []}))
+        fig = save_figure_manifest(tmp_path / "fig.manifest.json")
         assert main(["timeline", str(fig)]) == 2
         assert "--cell" in capsys.readouterr().err
 
     def test_timeline_verb_rejects_a_cell_outside_the_figure(self, tmp_path, capsys):
-        fig = tmp_path / "fig.json"
-        fig.write_text(json.dumps({"figure_id": "fig5", "cells": []}))
+        fig = save_figure_manifest(tmp_path / "fig.manifest.json")
         assert main(["timeline", str(fig), "--cell", "flooding@150"]) == 2
         assert "no 'flooding' cells" in capsys.readouterr().err
+
+    def test_timeline_verb_sends_a_figure_result_to_its_manifest(self, tmp_path, capsys):
+        fig = tmp_path / "fig5.json"
+        fig.write_text(json.dumps({"format_version": 1, "figure_id": "fig5", "cells": []}))
+        assert main(["timeline", str(fig), "--cell", "greedy@150"]) == 2
+        err = capsys.readouterr().err
+        assert str(tmp_path / "fig5.manifest.json") in err
+
+    @pytest.mark.parametrize("channel", [None, "pathloss"])
+    def test_timeline_verb_rebuilds_a_cell_on_the_manifest_channel(
+        self, tmp_path, capsys, monkeypatch, channel
+    ):
+        import repro.cli
+        from repro.experiments.figures import figure_plan
+        from repro.experiments.store import run_key
+        from repro.experiments.sweeps import cell_seed
+        from repro.net.channel import ChannelSpec
+        from repro.obs import Timeline
+
+        spec = None if channel is None else ChannelSpec(model=channel, n_bands=2)
+        fig = save_figure_manifest(tmp_path / "fig.manifest.json", channel=spec)
+        if spec is None:  # a manifest written before the channel key reads as disc
+            data = json.loads(fig.read_text())
+            del data["channel"]
+            fig.write_text(json.dumps(data))
+        rebuilt = []
+
+        def capture(config, interval):
+            rebuilt.append(config)
+            return Timeline.from_dict({
+                "timeline_version": 1, "interval": 1.0, "duration": 1.0,
+                "times": [], "probes": [],
+            })
+
+        monkeypatch.setattr(repro.cli, "_timeline_from_live_run", capture)
+        assert main(["timeline", str(fig), "--cell", "greedy@150", "--trial", "1"]) == 0
+        assert "profile smoke" in capsys.readouterr().out
+        [planned] = [
+            config
+            for label, x, config in figure_plan("fig5", smoke(), trials=2, channel=spec).plan
+            if (label, x, config.seed) == ("greedy", 150, cell_seed(0, 150, 1))
+        ]
+        assert run_key(rebuilt[0]) == run_key(planned)
+        assert rebuilt[0].channel.model == (channel or "disc")
 
     def test_timeline_verb_rejects_chrome_trace_without_counters(self, tmp_path, capsys):
         # what `client trace --chrome-trace` writes without --timeline-key:

@@ -62,8 +62,21 @@ class TestLoadArtifact:
 
     def test_jsonl_trace_rejected(self, tmp_path):
         p = tmp_path / "t.jsonl"
+        p.write_text('{"type": "meta", "trace_version": 1}\n{"type": "record"}\n')
+        assert load_artifact(p) == ("trace", {"type": "meta", "trace_version": 1})
+        with pytest.raises(ValueError, match="cannot diff trace against trace"):
+            diff_artifacts(p, p)
+
+    def test_trace_classified_from_its_first_line_only(self, tmp_path):
+        # the meta header decides; the torn line after it is never read
+        p = tmp_path / "t.jsonl"
+        p.write_text('{"type": "meta", "trace_version": 1}\nnot json at all\n')
+        assert load_artifact(p)[0] == "trace"
+
+    def test_jsonl_without_meta_header_rejected(self, tmp_path):
+        p = tmp_path / "t.jsonl"
         p.write_text('{"type": "record"}\n{"type": "record"}\n')
-        with pytest.raises(ValueError, match="audit"):
+        with pytest.raises(ValueError, match="unrecognized"):
             load_artifact(p)
 
     def test_unknown_shape_rejected(self, tmp_path):

@@ -84,6 +84,27 @@ class TestParseFigure:
         with pytest.raises(RequestError, match="trials"):
             parse_request({"kind": "figure", "figure": "fig5", "trials": 0})
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("figure", ["fig5"]),
+            ("profile", ["smoke"]),
+            ("xs", ["a"]),
+            ("xs", [{}]),
+            ("xs", [50.7]),
+            ("trials", True),
+            ("n_nodes", True),
+        ],
+        ids=["list-figure", "list-profile", "str-x", "object-x", "float-x",
+             "bool-trials", "bool-n_nodes"],
+    )
+    def test_malformed_field_is_a_request_error(self, field, value):
+        """Not a TypeError/ValueError (HTTP 500), nor silently coerced."""
+        with pytest.raises(RequestError, match=field):
+            parse_request(
+                {"kind": "figure", "figure": "fig5", "profile": "smoke", field: value}
+            )
+
 
 class TestRequestKey:
     def test_same_experiment_same_key(self):

@@ -205,6 +205,16 @@ class TestFailureIsolation:
 
         assert with_daemon(tmp_path / "store", scenario)
 
+    def test_list_valued_figure_is_400_not_500(self, tmp_path):
+        def scenario(client, daemon):
+            with pytest.raises(ServiceError) as excinfo:
+                client.submit({"kind": "figure", "figure": ["fig5"]})
+            assert excinfo.value.code == 400
+            assert client.health()["ok"] is True
+            return True
+
+        assert with_daemon(tmp_path / "store", scenario, run_workers=1)
+
     def test_crashed_worker_fails_job_pool_recovers(self, tmp_path):
         """SIGKILLing the pool workers mid-run fails that job with a
         worker-death error; the rebuilt pool serves the next job."""
