@@ -18,15 +18,16 @@ converges to (near-)GIT structures.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
-
-import networkx as nx
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from ..trees.git import greedy_incremental_tree
 from ..trees.spt import shortest_path_tree, tree_cost
 from ..trees.steiner import steiner_tree_kmb
 from .metrics import MetricsCollector
 from .runner import World
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["TreeStats", "active_tree", "tree_stats", "compare_with_ideal", "delivery_timeline"]
 
@@ -44,6 +45,8 @@ def active_tree(
     graph also shows residual gradients on abandoned branches whose data
     strength has not yet decayed.
     """
+    import networkx as nx
+
     if interest_id is None:
         if not world.sinks:
             raise ValueError("world has no sinks")
@@ -88,6 +91,8 @@ class TreeStats:
 
 def tree_stats(tree: nx.DiGraph, sources: Sequence[int], sink: int) -> TreeStats:
     """Summarize a data-gradient graph relative to its workload."""
+    import networkx as nx
+
     junctions = sum(1 for n in tree.nodes if tree.in_degree(n) >= 2)
     depth = 0
     stranded = []

@@ -151,6 +151,32 @@ class World:
     #: whether the field came out of the per-process field cache
     field_cache_hit: bool = False
 
+    def close(self) -> None:
+        """Unlink the references that make this world cyclic.
+
+        A wired world is a web of cycles: node <-> agent, node <-> MAC
+        (the receive callback), MAC <-> radio (the deliver callback),
+        radio <-> channel (the channel's radio and MAC tables), each
+        sink's and source's timer closures -> agent, and the simulator's
+        heap -> bound methods.  Once they are unlinked, refcounting frees
+        the world as soon as the caller drops it, instead of a full
+        garbage collection some passes later.
+
+        Call it after every artifact has been read: the world cannot run
+        afterwards.  A second call does nothing.  What outlives the run
+        (the config and its parameters, the cached field) is left alone.
+        """
+        self.sim.clear()
+        for node in self.nodes:
+            node.protocol = None
+            node.mac.receive_callback = None
+            node.radio.deliver = node.radio.channel = None
+        for agent in self.agents:
+            agent.node = None  # type: ignore[assignment]
+            agent.interest_timers.clear()
+            for state in agent.source_for.values():
+                state.data_timer = state.exploratory_timer = None
+
 
 def _place_sources(
     cfg: ExperimentConfig, field: SensorField, rng: random.Random, sinks: set[int]
@@ -322,9 +348,22 @@ def run_observed(
 
     ``kernel`` is kept for callers that still name one; it is checked by
     :func:`resolve_kernel` and otherwise ignored.
+
+    The world is closed (:meth:`World.close`) once its artifacts have
+    been read, also when the run raises, so a finished run leaves no
+    cyclic garbage behind.
     """
     resolve_kernel(kernel, cfg.n_nodes)
     world = build_world(cfg, field_cache=field_cache)
+    try:
+        return _observe(world, obs)
+    finally:
+        world.close()
+
+
+def _observe(world: World, obs: Optional[ObsOptions]) -> ObservedRun:
+    """Run a freshly built world under ``obs`` and read its artifacts."""
+    cfg = world.config
     sim, tracer = world.sim, world.tracer
 
     writer: Optional[TraceWriter] = None

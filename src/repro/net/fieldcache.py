@@ -1,12 +1,18 @@
 """Bounded memoization of generated sensor fields (world-build fast path).
 
 Paired sweeps run both schemes of a cell with the *same* seed, so the
-identical field — including the redraw-until-connected loop and the
-unit-disc connectivity graph — used to be regenerated once per scheme
-(and once more by any tree/baseline code rebuilding the same geometry).
-This module caches :class:`~repro.net.topology.SensorField` objects in a
-small per-process LRU keyed by everything that determines them:
+identical field — including the redraw-until-connected loop — used to
+be regenerated once per scheme (and once more by any tree/baseline code
+rebuilding the same geometry).  This module caches
+:class:`~repro.net.topology.SensorField` objects in a small per-process
+LRU keyed by everything that determines them:
 ``(seed, n, field_size, range_m, require_connected, max_attempts)``.
+
+A cached field holds its positions and the adjacency list that the
+connectivity check built (one list of neighbor ids per node, per
+radius asked for).  It holds a networkx graph only once tree code has
+asked for one (the omniscient baseline, ``repro inspect``), so a cache
+full of packet-level fields stays small.
 
 Correctness invariants:
 
@@ -19,10 +25,12 @@ Correctness invariants:
   unaffected, so cached and fresh runs produce identical
   :class:`~repro.experiments.metrics.RunMetrics`.
 * **Cached fields are shared read-only.**  Nothing in the stack mutates
-  ``SensorField.positions`` or the connectivity graph (tree builders copy
-  into their own graphs), so handing the same object to several runs in
-  one process is safe — and sharing the lazily built graph is itself a
-  win for the tree/baseline paths.
+  ``SensorField.positions``, the adjacency lists or the connectivity
+  graph (tree builders copy into their own graphs), so handing the same
+  object to several runs in one process is safe — and sharing the
+  lazily built graph is itself a win for the tree/baseline paths.  A
+  finished run's :meth:`~repro.experiments.runner.World.close` leaves
+  the field alone for the same reason.
 
 The cache is per-process: parallel sweep workers each warm their own,
 and a cell's paired runs often land on different workers.  That miss is

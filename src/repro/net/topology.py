@@ -19,6 +19,12 @@ Fields can optionally be re-drawn until the connectivity graph is
 connected; at the paper's lowest density (~6 neighbors) random fields are
 occasionally partitioned, and the paper's metrics are only meaningful for
 connected source/sink pairs.
+
+A field answers connectivity questions (:meth:`SensorField.is_connected`,
+:meth:`SensorField.mean_degree`) from a plain adjacency list, built once
+per radius by a grid walk.  The networkx graph of
+:meth:`SensorField.connectivity_graph` is built from that list only when
+tree code asks for it, so packet-level runs never import networkx.
 """
 
 from __future__ import annotations
@@ -26,9 +32,12 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-import networkx as nx
 import numpy as np
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = [
     "SensorField",
@@ -68,36 +77,51 @@ class SensorField:
     field_size: float
     range_m: float
     redraws: int = 0
-    _graph: nx.Graph = field(default=None, repr=False, compare=False)  # type: ignore[assignment]
+    #: per-radius adjacency lists (see _adjacency)
+    _adjacency_by_radius: dict = field(default_factory=dict, repr=False, compare=False)
+    #: per-radius networkx graphs, built only when tree code asks
+    _graphs: dict = field(default_factory=dict, repr=False, compare=False)
     #: cached (n, 2) position matrix for vectorized geometry queries
     _pos_arr: np.ndarray = field(default=None, repr=False, compare=False)  # type: ignore[assignment]
-    #: per-radius graph cache for non-default ranges (channel reach
-    #: reporting); the nominal ``range_m`` graph stays in ``_graph``
-    _alt_graphs: dict = field(default=None, repr=False, compare=False)  # type: ignore[assignment]
 
     @property
     def n(self) -> int:
         return len(self.positions)
 
-    def _build_graph(self, radius: float) -> nx.Graph:
-        g = nx.Graph()
-        g.add_nodes_from(range(self.n))
-        cell = radius
-        grid: dict[tuple[int, int], list[int]] = {}
-        for i, (x, y) in enumerate(self.positions):
-            grid.setdefault((int(x // cell), int(y // cell)), []).append(i)
-        r2 = radius**2
-        for i, (x, y) in enumerate(self.positions):
-            cx, cy = int(x // cell), int(y // cell)
-            for dx in (-1, 0, 1):
-                for dy in (-1, 0, 1):
-                    for j in grid.get((cx + dx, cy + dy), ()):
-                        if j <= i:
-                            continue
-                        ox, oy = self.positions[j]
-                        if (x - ox) ** 2 + (y - oy) ** 2 <= r2:
-                            g.add_edge(i, j, weight=1.0)
-        return g
+    def _adjacency(self, range_m: float | None) -> list[list[int]]:
+        """Each node's neighbors within ``range_m`` (default: the nominal
+        radius), cached per radius; a radius <= 0 links nothing.
+
+        Node ``i`` lists its lower-numbered neighbors in ascending order,
+        then its higher-numbered ones in grid-walk order (cells
+        ``dx, dy`` in -1..1, each cell in id order).  That is the order
+        in which :meth:`connectivity_graph` inserts edges, and tree
+        tie-breaks depend on it.
+        """
+        radius = self.range_m if range_m is None else range_m
+        adj = self._adjacency_by_radius.get(radius)
+        if adj is not None:
+            return adj
+        adj = [[] for _ in range(self.n)]
+        if radius > 0:
+            cell = radius
+            grid: dict[tuple[int, int], list[int]] = {}
+            for i, (x, y) in enumerate(self.positions):
+                grid.setdefault((int(x // cell), int(y // cell)), []).append(i)
+            r2 = radius**2
+            for i, (x, y) in enumerate(self.positions):
+                cx, cy = int(x // cell), int(y // cell)
+                for dx in (-1, 0, 1):
+                    for dy in (-1, 0, 1):
+                        for j in grid.get((cx + dx, cy + dy), ()):
+                            if j <= i:
+                                continue
+                            ox, oy = self.positions[j]
+                            if (x - ox) ** 2 + (y - oy) ** 2 <= r2:
+                                adj[i].append(j)
+                                adj[j].append(i)
+        self._adjacency_by_radius[radius] = adj
+        return adj
 
     def connectivity_graph(self, range_m: float | None = None) -> nx.Graph:
         """Unit-disc connectivity graph (cached).  Edge weight = 1 hop,
@@ -106,32 +130,42 @@ class SensorField:
         ``range_m`` overrides the field's nominal radius — used to report
         connectivity at a channel model's actual reach (which equals the
         nominal radius for disc, so the default path stays untouched).
-        Alternate-radius graphs are cached per radius.
+        Graphs are cached per radius.
         """
-        if range_m is None or range_m == self.range_m:
-            if self._graph is None:
-                self._graph = self._build_graph(self.range_m)
-            return self._graph
-        if range_m <= 0:
+        radius = self.range_m if range_m is None else range_m
+        g = self._graphs.get(radius)
+        if g is None:
+            import networkx as nx
+
             g = nx.Graph()
             g.add_nodes_from(range(self.n))
-            return g
-        if self._alt_graphs is None:
-            self._alt_graphs = {}
-        g = self._alt_graphs.get(range_m)
-        if g is None:
-            g = self._alt_graphs[range_m] = self._build_graph(range_m)
+            for i, neighbors in enumerate(self._adjacency(radius)):
+                for j in neighbors:
+                    if j > i:
+                        g.add_edge(i, j, weight=1.0)
+            self._graphs[radius] = g
         return g
 
     def is_connected(self) -> bool:
-        g = self.connectivity_graph()
-        return g.number_of_nodes() > 0 and nx.is_connected(g)
+        """Whether the nominal-radius connectivity graph is connected."""
+        adj = self._adjacency(None)
+        if not adj:
+            return False
+        seen = [False] * len(adj)
+        seen[0] = True
+        stack = [0]
+        while stack:
+            for j in adj[stack.pop()]:
+                if not seen[j]:
+                    seen[j] = True
+                    stack.append(j)
+        return all(seen)
 
     def mean_degree(self, range_m: float | None = None) -> float:
-        g = self.connectivity_graph(range_m)
-        if g.number_of_nodes() == 0:
+        adj = self._adjacency(range_m)
+        if not adj:
             return 0.0
-        return 2.0 * g.number_of_edges() / g.number_of_nodes()
+        return sum(len(neighbors) for neighbors in adj) / len(adj)
 
     def distance(self, a: int, b: int) -> float:
         (ax, ay), (bx, by) = self.positions[a], self.positions[b]

@@ -254,6 +254,20 @@ class Simulator:
         """Request that the current :meth:`run` return after the current event."""
         self._stopped = True
 
+    def clear(self) -> None:
+        """Drop every pending event and unlink its callback.
+
+        Each dropped handle reads as cancelled.  A callback is usually a
+        bound method of an object that keeps the handle (a timer, a MAC),
+        so unlinking it breaks that cycle as well as the heap's.
+        """
+        for _time, _seq, ev in self._heap:
+            ev.cancelled = True
+            ev.fn = None
+            ev.args = ()
+        self._heap.clear()
+        self._cancelled_pending = 0
+
     # ------------------------------------------------------------------
     # heap maintenance
     # ------------------------------------------------------------------

@@ -18,9 +18,10 @@ Two connection orders are supported:
 from __future__ import annotations
 
 import heapq
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-import networkx as nx
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["greedy_incremental_tree"]
 
@@ -56,6 +57,8 @@ def _closest_attachment(
                 dist[v] = nd
                 prev[v] = u
                 heapq.heappush(heap, (nd, v))
+    import networkx as nx
+
     raise nx.NetworkXNoPath(f"node {target} cannot reach the tree")
 
 
@@ -67,6 +70,8 @@ def greedy_incremental_tree(
     weight: Optional[str] = None,
 ) -> nx.Graph:
     """Build the GIT spanning ``sources`` and ``sink``."""
+    import networkx as nx
+
     if order not in ("given", "nearest"):
         raise ValueError("order must be 'given' or 'nearest'")
     tree = nx.Graph()

@@ -18,9 +18,10 @@ use this as ground truth; it refuses instances with too many terminals.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-import networkx as nx
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["steiner_tree_exact", "steiner_cost_exact"]
 
@@ -29,6 +30,8 @@ _MAX_TERMINALS = 10
 
 def _all_pairs_paths(graph: nx.Graph, weight: Optional[str]):
     """Shortest-path lengths and paths between all node pairs."""
+    import networkx as nx
+
     if weight is None:
         dist = dict(nx.all_pairs_shortest_path_length(graph))
         path = dict(nx.all_pairs_shortest_path(graph))
@@ -52,6 +55,8 @@ def steiner_tree_exact(
     graph: nx.Graph, terminals: Sequence[int], weight: Optional[str] = None
 ) -> nx.Graph:
     """Dreyfus-Wagner exact Steiner tree (small terminal sets only)."""
+    import networkx as nx
+
     terminals = list(dict.fromkeys(terminals))
     if not terminals:
         raise ValueError("need at least one terminal")

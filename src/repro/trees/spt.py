@@ -8,9 +8,10 @@ a dissemination round equals the number of distinct edges used.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
-import networkx as nx
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["shortest_path_tree", "tree_cost", "validate_tree"]
 
@@ -24,6 +25,8 @@ def shortest_path_tree(
     they share consistent predecessors and their union is a proper tree.
     Raises ``KeyError`` when a source is disconnected from the sink.
     """
+    import networkx as nx
+
     if weight is None:
         paths = nx.single_source_shortest_path(graph, sink)
     else:
@@ -44,6 +47,8 @@ def tree_cost(tree: nx.Graph, weight: Optional[str] = None) -> float:
 
 def validate_tree(tree: nx.Graph, sink: int, sources: Iterable[int]) -> None:
     """Assert structural invariants: connected, acyclic, spans terminals."""
+    import networkx as nx
+
     terminals = set(sources) | {sink}
     missing = terminals - set(tree.nodes)
     if missing:

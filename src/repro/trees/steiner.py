@@ -9,9 +9,10 @@ bound in property tests (KMB cost <= 2·OPT, and OPT <= GIT cost).
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-import networkx as nx
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["steiner_tree_kmb"]
 
@@ -26,6 +27,8 @@ def steiner_tree_kmb(
     3. Expand closure edges back into shortest paths.
     4. Take the MST of the expansion and prune non-terminal leaves.
     """
+    import networkx as nx
+
     terminals = list(dict.fromkeys(terminals))
     if not terminals:
         raise ValueError("need at least one terminal")

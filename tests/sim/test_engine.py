@@ -196,6 +196,20 @@ class TestRunControl:
         sim.run()
         assert sim.events_processed == 7
 
+    def test_clear_drops_and_unlinks_pending_events(self):
+        sim = Simulator()
+        out = []
+        live = sim.schedule(1.0, out.append, "a")
+        dead = sim.schedule(2.0, out.append, "b")
+        dead.cancel()
+        sim.clear()
+        assert sim.pending_count() == 0 and sim.peek_time() is None
+        assert not live.pending and live.fn is None and live.args == ()
+        live.cancel()  # a dropped handle still cancels harmlessly
+        assert sim.pending_count() == 0
+        sim.run()
+        assert out == [] and sim.events_processed == 0
+
 
 class TestIntrospection:
     def test_pending_count_excludes_cancelled(self):
