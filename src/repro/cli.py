@@ -55,7 +55,6 @@ from .experiments import (
     format_figure,
     format_tree_table,
     git_vs_spt_table,
-    run_experiment,
     run_figure_plan,
 )
 from .obs.options import TRACE_CATEGORIES
@@ -610,9 +609,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
         )
     if args.store and obs is None:
         from .experiments.store import RunStore
+        from .experiments.sweeps import RunFailure, run_configs
 
         store = RunStore(args.store)
-        result = run_experiment(cfg, store=store)
+        [result] = run_configs([cfg], store=store, return_failures=True)
+        if isinstance(result, RunFailure):
+            print(result.traceback, end="", file=sys.stderr)
+            print(f"run: {result.error}", file=sys.stderr)
+            return 1
         observed = None
         if store.stats.hits:
             print(f"run store: hit ({args.store})")

@@ -30,7 +30,7 @@ from ..diffusion.baselines import FloodingAgent, OmniscientAgent
 from ..diffusion.opportunistic import OpportunisticAgent
 from ..trees.git import greedy_incremental_tree
 from ..net.channel import model_from_spec
-from ..net.fieldcache import FieldCache, cached_field
+from ..net.fieldcache import cached_field
 from ..net.node import Node
 from ..net.radio import Channel, RadioParams
 from ..net.topology import (
@@ -204,17 +204,15 @@ def resolve_kernel(kernel: str, n_nodes: int) -> str:
     return "scalar"
 
 
-def build_world(
-    cfg: ExperimentConfig,
-    field_cache: Optional[FieldCache] = None,
-) -> World:
+def build_world(cfg: ExperimentConfig) -> World:
     """Construct the full simulation for one config (without running it).
 
     The sensor field is memoized per process (see
     :mod:`repro.net.fieldcache`): paired sweeps rebuild the same
     ``(seed, n, field_size, range_m)`` geometry once per scheme, and the
     cache removes that duplicate work without touching any RNG stream.
-    Pass ``field_cache=FieldCache(maxsize=0)`` to force a fresh build.
+    Clear :func:`~repro.net.fieldcache.default_field_cache` to force a
+    fresh build.
     """
     sim = Simulator()
     tracer = Tracer(lambda: sim.now)
@@ -224,7 +222,6 @@ def build_world(
         cfg.seed,
         field_size=cfg.field_size,
         range_m=cfg.range_m,
-        cache=field_cache,
     )
     # The channel model is built from the config's channel block; field
     # geometry above is always drawn on the nominal disc range_m, so disc
@@ -302,41 +299,19 @@ class ObservedRun:
     timeline_path: Optional[Path] = None
 
 
-def run_experiment(
-    cfg: ExperimentConfig,
-    obs: Optional[ObsOptions] = None,
-    field_cache: Optional[FieldCache] = None,
-    store=None,
-) -> RunMetrics:
+def run_experiment(cfg: ExperimentConfig, obs: Optional[ObsOptions] = None) -> RunMetrics:
     """Run one experiment end to end and reduce it to metrics.
 
-    ``store`` (a :class:`~repro.experiments.store.RunStore` or a
-    directory path) short-circuits the run when the config's content
-    hash is already stored, and persists a fresh result otherwise —
-    the single-run counterpart of ``run_configs(..., store=...)``.
-    When the run sampled a timeline (``obs.timeline``), the timeline is
-    persisted beside the run entry (``<store>/timelines/<key>.json``);
-    a store hit returns the cached metrics without re-sampling one.
+    Stored runs go through :func:`~repro.experiments.sweeps.run_configs`
+    with ``store=``, which probes the store first and persists a fresh
+    result.
     """
-    if store is not None:
-        from .store import open_store
-
-        store = open_store(store)
-        cached = store.get(cfg)
-        if cached is not None:
-            return cached
-    observed = run_observed(cfg, obs, field_cache=field_cache)
-    if store is not None:
-        store.put(cfg, observed.metrics)
-        if observed.timeline is not None:
-            store.put_timeline(cfg, observed.timeline)
-    return observed.metrics
+    return run_observed(cfg, obs).metrics
 
 
 def run_observed(
     cfg: ExperimentConfig,
     obs: Optional[ObsOptions] = None,
-    field_cache: Optional[FieldCache] = None,
     kernel: str = "auto",
 ) -> ObservedRun:
     """Run one experiment with optional profiling/tracing/provenance.
@@ -354,7 +329,7 @@ def run_observed(
     cyclic garbage behind.
     """
     resolve_kernel(kernel, cfg.n_nodes)
-    world = build_world(cfg, field_cache=field_cache)
+    world = build_world(cfg)
     try:
         return _observe(world, obs)
     finally:
@@ -418,8 +393,7 @@ def _observe(world: World, obs: Optional[ObsOptions]) -> ObservedRun:
         # The warmup snapshot never fired (or fired partially): energy
         # accounting would silently report 0.0.  Config validation rejects
         # warmup >= duration, so reaching this means the scheduler was
-        # stopped early or misused — fail loudly instead of reporting
-        # zero-energy runs.
+        # misused — fail loudly instead of reporting zero-energy runs.
         raise RuntimeError(
             f"warmup energy snapshot incomplete ({len(snapshots)} of "
             f"{len(world.nodes)} nodes) — warmup={cfg.warmup} duration={cfg.duration}"

@@ -90,8 +90,6 @@ class EnergyMeter:
         "rx_time",
         "_rx_start",
         "_rx_last",
-        "tx_count",
-        "rx_count",
         "tx_time_by_class",
         "rx_time_by_class",
     )
@@ -104,8 +102,6 @@ class EnergyMeter:
         #: a reception starting inside it is billed only past _rx_last
         self._rx_start = float("-inf")
         self._rx_last = float("-inf")
-        self.tx_count = 0
-        self.rx_count = 0
         #: per-message-class time-in-state (sums to tx_time / rx_time)
         self.tx_time_by_class: dict[str, float] = {}
         self.rx_time_by_class: dict[str, float] = {}
@@ -115,7 +111,6 @@ class EnergyMeter:
         if duration < 0:
             raise ValueError("negative duration")
         self.tx_time += duration
-        self.tx_count += 1
         by_class = self.tx_time_by_class
         try:
             by_class[cls] += duration
@@ -153,7 +148,6 @@ class EnergyMeter:
             )
         self._rx_last = end
         self.rx_time += charged
-        self.rx_count += 1
         by_class = self.rx_time_by_class
         try:
             by_class[cls] += charged
@@ -201,7 +195,4 @@ class EnergyMeter:
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<EnergyMeter tx={self.tx_time:.4f}s({self.tx_count}) "
-            f"rx={self.rx_time:.4f}s({self.rx_count})>"
-        )
+        return f"<EnergyMeter tx={self.tx_time:.4f}s rx={self.rx_time:.4f}s>"

@@ -37,8 +37,8 @@ and a cell's paired runs often land on different workers.  That miss is
 cheap: building one of the benchmark sweep's fields (50-125 nodes on the
 200 m field) took a median 1.9 ms on a 2-core Xeon host, against 320 ms
 for one of its runs.  The cache holds :data:`DEFAULT_FIELD_CACHE_SIZE`
-fields; ``FieldCache(maxsize=0)`` caches nothing, for a caller that
-needs a fresh build.
+fields; ``FieldCache(maxsize=0)`` caches nothing.  Runs always read
+:func:`default_field_cache`; a caller that needs a fresh build clears it.
 """
 
 from __future__ import annotations

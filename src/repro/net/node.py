@@ -60,9 +60,6 @@ class Node:
         )
         self.mac.receive_callback = self._deliver
         self.protocol: Optional[ProtocolAgent] = None
-        self.fail_count = 0
-        self.downtime = 0.0
-        self._down_since: Optional[float] = None
         #: sim time of this node's first failure (None if it never failed);
         #: feeds the lifetime metric time_to_first_death
         self.first_down_at: Optional[float] = None
@@ -80,8 +77,6 @@ class Node:
             return
         self._up = False
         self.radio.up = False
-        self.fail_count += 1
-        self._down_since = self.sim.now
         if self.first_down_at is None:
             self.first_down_at = self.sim.now
         self.mac.fail()
@@ -94,9 +89,6 @@ class Node:
             return
         self._up = True
         self.radio.up = True
-        if self._down_since is not None:
-            self.downtime += self.sim.now - self._down_since
-            self._down_since = None
         self.tracer.count("node.recover")
         self.tracer.record("node.recover", node=self.node_id)
 

@@ -93,9 +93,10 @@ class Timeline:
 
     Lifecycle: :meth:`register` probes, :meth:`attach` to a simulator
     (schedules the sampling ticks), run the simulation, then
-    :meth:`finalize` for the guaranteed closing sample.  A timeline
-    loaded back from :meth:`from_dict` has data but no callables — it can
-    be rendered, diffed, and exported but not re-attached.
+    :meth:`finalize` for the guaranteed closing sample.  A finalized
+    timeline, like one loaded back from :meth:`from_dict`, has data but
+    no callables — it can be rendered, diffed, and exported but not
+    re-attached.
     """
 
     def __init__(
@@ -157,12 +158,20 @@ class Timeline:
             sim.schedule(self.interval, self._tick)
 
     def finalize(self, now: Optional[float] = None) -> None:
-        """Take the guaranteed closing sample (idempotent)."""
+        """Take the guaranteed closing sample (idempotent).
+
+        Then drop the probe callables and the simulator: they close over
+        the run's world, which a kept timeline must not hold alive.
+        """
         if self._finalized:
             return
         self._finalized = True
         t = self.duration if now is None else now
         self.sample(t if t is not None else 0.0)
+        self._samplers = []
+        self._sim = None
+        for probe in self.probes:
+            probe.fn = None
 
     def sample(self, now: float) -> None:
         """Record one sample row at sim time ``now``."""

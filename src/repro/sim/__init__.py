@@ -4,7 +4,7 @@ Public surface:
 
 * :class:`Simulator` / :class:`ScheduledEvent` — the event scheduler
   (profiled from another thread, see :mod:`repro.obs.profiler`).
-* :class:`OneShotTimer` / :class:`PeriodicTimer` — protocol timer idioms.
+* :class:`PeriodicTimer` — the jittered periodic protocol timer.
 * :class:`Tracer` / :class:`TraceRecord` — registry-backed metrics and
   structured traces.
 * :class:`RngRegistry` — named deterministic random substreams.
@@ -12,14 +12,13 @@ Public surface:
 
 from .engine import ScheduledEvent, SimulationError, Simulator
 from .rng import RngRegistry, derive_seed
-from .timers import OneShotTimer, PeriodicTimer
+from .timers import PeriodicTimer
 from .trace import TraceRecord, Tracer
 
 __all__ = [
     "Simulator",
     "ScheduledEvent",
     "SimulationError",
-    "OneShotTimer",
     "PeriodicTimer",
     "Tracer",
     "TraceRecord",

@@ -22,30 +22,28 @@ the air turns into heap traffic here):
 * Heap entries are plain ``(time, seq, event)`` tuples, compared by
   CPython's C tuple comparison; ``seq`` is unique so the event object is
   never compared.
+* :meth:`Simulator.run` is the only event loop, and its lazy pop is the
+  only way a cancelled entry leaves the heap: a cancelled entry stays
+  queued until it reaches the front, where ``run`` drops it and counts it
+  in ``cancelled_skipped``.  Runs keep the heap small (at most 768
+  entries in the paper-sized runs measured for DESIGN.md §13), so dead
+  entries cost little until then.
 * :meth:`Simulator.pending_count` is O(1): cancellations are counted as
   they happen (see :meth:`ScheduledEvent.cancel`) instead of scanning the
   heap, because the ``sim.pending_events`` timeline probe reads it on
   every sample and the profiler's sampler thread on every stack sample.
 * :attr:`Simulator.now` is a plain attribute, not a property: the PHY
   reads it once per receiver per frame, where a property call is
-  measurable.  Only :meth:`Simulator.run` and :meth:`Simulator.step`
-  write it.
+  measurable.  Only :meth:`Simulator.run` writes it.
 * **Event cohorts** — a batch of homogeneous logical events that share a
   timestamp (e.g. one frame's arrival at every in-range receiver) can be
-  scheduled as a *single* heap entry via :meth:`Simulator.schedule_cohort`
-  / :meth:`schedule_cohort_at` with an explicit member ``count``.  The
-  cohort occupies one ``(time, seq)`` slot — FIFO tie-order against every
-  other event is exactly that of the single event it replaces, so runs
-  stay bit-for-bit deterministic — while ``events_processed`` advances by
-  the full member count, keeping throughput accounting in units of
-  logical events rather than Python dispatches.
-* **Heap compaction** — cancelled entries normally leave the heap lazily
-  when they reach the front.  Cancellation-heavy workloads (the MAC
-  cancels an ACK timer per acknowledged unicast) can accumulate tens of
-  thousands of dead ``(time, seq, event)`` tuples; when more than half
-  the heap is dead (and past a small floor), the whole heap is swept and
-  re-heapified in one O(n) pass.  Live entries keep their ``(time, seq)``
-  keys, so ordering is unaffected.
+  scheduled as a *single* heap entry via :meth:`Simulator.schedule_cohort_at`
+  with an explicit member ``count``.  The cohort occupies one
+  ``(time, seq)`` slot — FIFO tie-order against every other event is
+  exactly that of the single event it replaces, so runs stay bit-for-bit
+  deterministic — while ``events_processed`` advances by the full member
+  count, keeping throughput accounting in units of logical events rather
+  than Python dispatches.
 * **No profiling hook** — :meth:`Simulator.run` calls each callback
   directly; :class:`repro.obs.profiler.Profiler` samples the loop's stack
   from another thread, so profiled runs execute the same code.
@@ -100,7 +98,6 @@ class ScheduledEvent:
             # Keep the owning simulator's live-entry count exact so
             # pending_count() stays O(1).
             sim._cancelled_pending += 1
-            sim._maybe_compact()
 
     @property
     def pending(self) -> bool:
@@ -130,21 +127,17 @@ class Simulator:
     """
 
     def __init__(self) -> None:
-        #: current virtual time in seconds (written only by run()/step())
+        #: current virtual time in seconds (written only by run())
         self.now: float = 0.0
         #: pending events as (time, seq, event) tuples (cheap C comparison)
         self._heap: list[tuple[float, int, ScheduledEvent]] = []
         self._seq: int = 0
         self._running = False
-        self._stopped = False
         self.events_processed: int = 0
         #: cancelled entries popped off the heap (scheduling churn)
         self.cancelled_skipped: int = 0
         #: cancelled entries still sitting in the heap (see pending_count)
         self._cancelled_pending: int = 0
-        #: dead entries removed by whole-heap sweeps (subset of
-        #: cancelled_skipped; diagnostic only)
-        self.compaction_swept: int = 0
 
     # ------------------------------------------------------------------
     # scheduling
@@ -169,25 +162,16 @@ class Simulator:
         heapq.heappush(self._heap, (time, self._seq, ev))
         return ev
 
-    def schedule_cohort(
-        self, delay: float, count: int, fn: Callable[..., Any], *args: Any
-    ) -> ScheduledEvent:
-        """Schedule one heap entry standing for ``count`` logical events.
-
-        The callback fires exactly once, ``delay`` seconds from now, but
-        ``events_processed`` advances by ``count`` — use this when a single
-        dispatch handles a whole batch of homogeneous events (e.g. one
-        frame arriving at every in-range receiver).  ``count`` must be
-        positive.
-        """
-        if delay < 0:
-            raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        return self.schedule_cohort_at(self.now + delay, count, fn, *args)
-
     def schedule_cohort_at(
         self, time: float, count: int, fn: Callable[..., Any], *args: Any
     ) -> ScheduledEvent:
-        """Absolute-time variant of :meth:`schedule_cohort`."""
+        """Schedule one heap entry at ``time`` standing for ``count`` events.
+
+        The callback fires exactly once, but ``events_processed`` advances
+        by ``count`` — use this when a single dispatch handles a whole
+        batch of homogeneous events (e.g. one frame arriving at every
+        in-range receiver).  ``count`` must be positive.
+        """
         if time < self.now:
             raise SimulationError(
                 f"cannot schedule at t={time} before current time t={self.now}"
@@ -212,11 +196,10 @@ class Simulator:
         if self._running:
             raise SimulationError("simulator is already running (re-entrant run())")
         self._running = True
-        self._stopped = False
         heap = self._heap
         heappop = heapq.heappop
         try:
-            while heap and not self._stopped:
+            while heap:
                 time, _seq, ev = heap[0]
                 if until is not None and time > until:
                     break
@@ -229,30 +212,10 @@ class Simulator:
                 ev.fired = True
                 self.events_processed += ev.count
                 ev.fn(*ev.args)
-            if until is not None and self.now < until and not self._stopped:
+            if until is not None and self.now < until:
                 self.now = until
         finally:
             self._running = False
-
-    def step(self) -> bool:
-        """Fire exactly one pending event.  Returns False if the queue is empty."""
-        heap = self._heap
-        while heap:
-            time, _seq, ev = heapq.heappop(heap)
-            if ev.cancelled:
-                self.cancelled_skipped += 1
-                self._cancelled_pending -= 1
-                continue
-            self.now = time
-            ev.fired = True
-            self.events_processed += ev.count
-            ev.fn(*ev.args)
-            return True
-        return False
-
-    def stop(self) -> None:
-        """Request that the current :meth:`run` return after the current event."""
-        self._stopped = True
 
     def clear(self) -> None:
         """Drop every pending event and unlink its callback.
@@ -269,57 +232,11 @@ class Simulator:
         self._cancelled_pending = 0
 
     # ------------------------------------------------------------------
-    # heap maintenance
-    # ------------------------------------------------------------------
-    #: no compaction below this many cancelled entries — tiny heaps churn
-    #: faster through the lazy pop path than through a sweep
-    _COMPACT_FLOOR = 64
-
-    def _maybe_compact(self) -> None:
-        """Sweep dead entries when more than half the heap is cancelled.
-
-        Called from :meth:`ScheduledEvent.cancel`.  The sweep is O(n) and
-        only runs once at least ``_COMPACT_FLOOR`` entries are dead *and*
-        dead entries outnumber live ones, so total sweep work stays
-        amortized O(1) per cancellation.  Live entries keep their
-        ``(time, seq)`` keys, so FIFO tie-order is unaffected; ``run()``
-        mutates the same list object in place, so its local alias stays
-        valid.
-        """
-        dead = self._cancelled_pending
-        heap = self._heap
-        if dead < self._COMPACT_FLOOR or dead * 2 <= len(heap):
-            return
-        heap[:] = [entry for entry in heap if not entry[2].cancelled]
-        heapq.heapify(heap)
-        self.cancelled_skipped += dead
-        self.compaction_swept += dead
-        self._cancelled_pending = 0
-
-    # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
     def pending_count(self) -> int:
         """Number of not-yet-cancelled events still queued (O(1))."""
         return len(self._heap) - self._cancelled_pending
-
-    def peek_time(self) -> Optional[float]:
-        """Time of the next live event, or None if the queue is empty.
-
-        Cancelled entries at the front are purged lazily (amortized
-        O(log n) per cancelled event, versus the full sort this used to
-        do); the purge is counted as scheduler churn.
-        """
-        heap = self._heap
-        while heap:
-            time, _seq, ev = heap[0]
-            if ev.cancelled:
-                heapq.heappop(heap)
-                self.cancelled_skipped += 1
-                self._cancelled_pending -= 1
-            else:
-                return time
-        return None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Simulator t={self.now:.6f} pending={len(self._heap)}>"

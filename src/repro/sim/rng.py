@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Iterator
 
 __all__ = ["RngRegistry", "derive_seed"]
 
@@ -50,14 +49,6 @@ class RngRegistry:
             rng = random.Random(derive_seed(self.root_seed, name))
             self._streams[name] = rng
         return rng
-
-    def spawn(self, name: str) -> "RngRegistry":
-        """Create a child registry whose streams are independent of the parent's."""
-        return RngRegistry(derive_seed(self.root_seed, f"spawn:{name}"))
-
-    def names(self) -> Iterator[str]:
-        """Names of all streams handed out so far (for diagnostics)."""
-        return iter(sorted(self._streams))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<RngRegistry seed={self.root_seed} streams={len(self._streams)}>"

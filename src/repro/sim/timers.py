@@ -1,10 +1,11 @@
-"""Timer helpers built on the DES kernel.
+"""The periodic timer built on the DES kernel.
 
-Protocol code constantly needs "fire once in T, unless refreshed/cancelled"
-(reinforcement timers, gradient expiry) and "fire every T, with optional
-jitter" (interest refresh, exploratory events).  These helpers wrap the raw
-:class:`~repro.sim.engine.Simulator` scheduling API with those two idioms
-so the protocol modules stay readable.
+Protocol code needs "fire every T, with optional jitter" (interest
+refresh, exploratory events, source data).  :class:`PeriodicTimer` wraps
+the raw :class:`~repro.sim.engine.Simulator` scheduling API with that
+idiom so the protocol modules stay readable.  A finished run stops its
+timers by clearing the simulator (:meth:`Simulator.clear`), which cancels
+each timer's pending tick.
 """
 
 from __future__ import annotations
@@ -14,52 +15,7 @@ from typing import Any, Callable, Optional
 
 from .engine import ScheduledEvent, Simulator
 
-__all__ = ["OneShotTimer", "PeriodicTimer"]
-
-
-class OneShotTimer:
-    """Restartable single-shot timer.
-
-    ``start(delay)`` arms the timer; ``restart(delay)`` cancels any pending
-    expiry and re-arms (used for gradient-expiry refresh); ``cancel`` disarms.
-    The callback is invoked with no arguments.
-    """
-
-    def __init__(self, sim: Simulator, fn: Callable[[], Any]) -> None:
-        self._sim = sim
-        self._fn = fn
-        self._event: Optional[ScheduledEvent] = None
-
-    def start(self, delay: float) -> None:
-        """Arm the timer.  Raises if already armed (use restart to re-arm)."""
-        if self.armed:
-            raise RuntimeError("timer already armed; use restart()")
-        self._event = self._sim.schedule(delay, self._fire)
-
-    def restart(self, delay: float) -> None:
-        """(Re-)arm the timer, cancelling any pending expiry."""
-        self.cancel()
-        self._event = self._sim.schedule(delay, self._fire)
-
-    def cancel(self) -> None:
-        if self._event is not None:
-            self._event.cancel()
-            self._event = None
-
-    @property
-    def armed(self) -> bool:
-        return self._event is not None and self._event.pending
-
-    @property
-    def expiry_time(self) -> Optional[float]:
-        """Absolute time of the pending expiry, or None when disarmed."""
-        if self.armed:
-            return self._event.time  # type: ignore[union-attr]
-        return None
-
-    def _fire(self) -> None:
-        self._event = None
-        self._fn()
+__all__ = ["PeriodicTimer"]
 
 
 class PeriodicTimer:
@@ -90,7 +46,6 @@ class PeriodicTimer:
         self.jitter = jitter
         self._rng = rng
         self._event: Optional[ScheduledEvent] = None
-        self.fire_count = 0
 
     def start(self, initial_delay: Optional[float] = None) -> None:
         """Start ticking.  First tick after ``initial_delay`` (default: one
@@ -99,11 +54,6 @@ class PeriodicTimer:
             raise RuntimeError("periodic timer already running")
         delay = self._next_delay() if initial_delay is None else initial_delay
         self._event = self._sim.schedule(delay, self._fire)
-
-    def stop(self) -> None:
-        if self._event is not None:
-            self._event.cancel()
-            self._event = None
 
     @property
     def running(self) -> bool:
@@ -116,7 +66,9 @@ class PeriodicTimer:
         return self.period
 
     def _fire(self) -> None:
-        self.fire_count += 1
-        # Re-arm *before* the callback so the callback may stop() the timer.
+        # Re-arm *before* the callback: the next tick's jitter draw then
+        # precedes every draw the callback makes from the same stream (the
+        # agents share the node's MAC stream), and the golden runs pin
+        # that order.
         self._event = self._sim.schedule(self._next_delay(), self._fire)
         self._fn()

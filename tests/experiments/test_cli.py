@@ -120,6 +120,35 @@ class TestExecution:
         assert channel["model"] == "pathloss" and channel["n_bands"] == 2
         assert "job-000001" in capsys.readouterr().out
 
+    RUN = ["run", "-n", "40", "--duration", "15", "--warmup", "6"]
+
+    def test_run_store_second_run_is_a_hit(self, tmp_path, capsys):
+        store = tmp_path / "store"
+        argv = [*self.RUN, "--store", str(store)]
+        assert main(argv) == 0
+        first = capsys.readouterr().out
+        [entry] = (store / "runs").glob("*.json")
+        stored = entry.read_bytes()
+        assert main(argv) == 0
+        # the hit prints the stored metrics exactly as the run did
+        assert capsys.readouterr().out == f"run store: hit ({store})\n" + first
+        assert list((store / "runs").glob("*.json")) == [entry]
+        assert entry.read_bytes() == stored
+
+    def test_failing_stored_run_exits_nonzero_and_names_its_error(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        from repro.experiments import sweeps
+
+        def boom(cfg, obs=None):
+            raise RuntimeError("no field today")
+
+        monkeypatch.setattr(sweeps, "run_experiment", boom)
+        store = tmp_path / "store"
+        assert main([*self.RUN, "--store", str(store)]) == 1
+        assert "run: RuntimeError: no field today" in capsys.readouterr().err
+        assert not list(store.glob("runs/*.json"))
+
     def test_inspect_command(self, capsys):
         rc = main(["inspect", "-n", "60", "--sources", "3", "--duration", "25"])
         assert rc == 0

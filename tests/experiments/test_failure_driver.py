@@ -49,8 +49,8 @@ class TestFailureDriver:
     def test_exempt_nodes_never_fail(self):
         w, _driver = make_driver(exempt=(0, 1))
         w.run(until=30.0)
-        assert w.nodes[0].fail_count == 0
-        assert w.nodes[1].fail_count == 0
+        assert w.nodes[0].first_down_at is None
+        assert w.nodes[1].first_down_at is None
 
     def test_at_any_instant_fraction_unusable(self):
         # "At any instant, 20% of the nodes in the network are unusable."

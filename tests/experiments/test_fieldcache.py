@@ -85,28 +85,34 @@ class TestFieldCache:
 
 class TestMemoizedRuns:
     def test_build_world_reuses_field_across_schemes(self):
-        cache = FieldCache(maxsize=8)
+        default_field_cache().clear()
         profile = smoke()
         opp = ExperimentConfig.from_profile(profile, "opportunistic", 50, seed=42)
         greedy = ExperimentConfig.from_profile(profile, "greedy", 50, seed=42)
-        w1 = build_world(opp, field_cache=cache)
-        w2 = build_world(greedy, field_cache=cache)
+        w1 = build_world(opp)
+        w2 = build_world(greedy)
         assert w2.field is w1.field
         assert not w1.field_cache_hit
         assert w2.field_cache_hit
+        w1.close()
+        w2.close()
 
     def test_memoized_run_metrics_bit_identical(self):
         # The acceptance criterion: a cached paired cell reproduces the
         # unoptimized path's RunMetrics exactly on a fixed seed.
         profile = smoke()
-        warm = FieldCache(maxsize=8)
-        cold = FieldCache(maxsize=0)
-        for scheme in ("opportunistic", "greedy"):
-            cfg = ExperimentConfig.from_profile(profile, scheme, 50, seed=1234)
-            cached_metrics = run_experiment(cfg, field_cache=warm)
-            fresh_metrics = run_experiment(cfg, field_cache=cold)
-            assert cached_metrics == fresh_metrics
-        assert warm.stats()["hits"] == 1  # second scheme reused the field
+        cache = default_field_cache()
+        configs = [
+            ExperimentConfig.from_profile(profile, scheme, 50, seed=1234)
+            for scheme in ("opportunistic", "greedy")
+        ]
+        cache.clear()
+        cached_metrics = [run_experiment(cfg) for cfg in configs]
+        assert cache.stats()["hits"] == 1  # second scheme reused the field
+        for cfg, cached in zip(configs, cached_metrics):
+            cache.clear()  # a fresh field for every run
+            assert run_experiment(cfg) == cached
+            assert cache.stats()["hits"] == 0
 
     def test_default_cache_is_per_process_singleton(self):
         assert default_field_cache() is default_field_cache()

@@ -1,6 +1,7 @@
 """Tests for world construction and the experiment runner."""
 
 import gc
+import weakref
 
 import pytest
 
@@ -109,7 +110,7 @@ class TestRunExperiment:
         w = build_world(cfg(failures=FailureModel(epoch=2.0)))
         w.sim.run(until=w.config.duration)
         for sink in w.sinks:
-            assert w.nodes[sink].fail_count == 0
+            assert w.nodes[sink].first_down_at is None
 
     def test_linear_aggregation_runs(self):
         r = run_experiment(cfg(aggregation="linear"))
@@ -179,15 +180,15 @@ class TestEnergyAccountingGuards:
 class TestFieldProvenance:
     def test_manifest_records_redraws_and_cache_hit(self, tmp_path):
         from repro.experiments.runner import run_observed
-        from repro.net.fieldcache import FieldCache
+        from repro.net.fieldcache import default_field_cache
         from repro.obs import ObsOptions
 
-        cache = FieldCache(maxsize=4)
+        default_field_cache().clear()
         c = cfg()
         obs = ObsOptions(manifest_path=tmp_path / "m.json")
-        first = run_observed(c, obs, field_cache=cache)
+        first = run_observed(c, obs)
         assert first.manifest["field"] == {"redraws": 0, "cache_hit": False}
-        second = run_observed(c, obs, field_cache=cache)
+        second = run_observed(c, obs)
         assert second.manifest["field"]["cache_hit"] is True
         assert second.field_cache_hit
         assert second.events_processed > 0
@@ -254,8 +255,8 @@ class TestWorldIsFreed:
         def boom():
             raise RuntimeError("boom")
 
-        def build_and_plant(c, field_cache=None):
-            world = build_world(c, field_cache=field_cache)
+        def build_and_plant(c):
+            world = build_world(c)
             world.sim.schedule(1.0, boom)
             built.append(world)
             return world
@@ -278,6 +279,30 @@ class TestWorldIsFreed:
         world.close()
         assert world.sim.pending_count() == 0
         assert all(n.radio.channel is None for n in world.nodes)
+
+    def test_kept_timeline_lets_its_world_go(self, monkeypatch):
+        from repro.obs import Timeline, format_timeline
+        from repro.obs.diff import diff_timelines
+
+        first_nodes = []
+
+        def build_and_watch(c):
+            world = build_world(c)
+            first_nodes.append(weakref.ref(world.nodes[0]))
+            return world
+
+        monkeypatch.setattr(runner, "build_world", build_and_watch)
+        c = self.config()
+        timeline = run_observed(c, ObsOptions(timeline=True)).timeline
+        gc.collect()
+        assert first_nodes[0]() is None
+        # what a kept timeline is read for still works
+        data = timeline.as_dict()
+        reloaded = Timeline.from_dict(data)
+        assert reloaded.as_dict() == data
+        assert format_timeline(timeline) == format_timeline(reloaded)
+        again = run_observed(c, ObsOptions(timeline=True)).timeline
+        assert diff_timelines(data, again.as_dict())["equal"]
 
     def test_close_leaves_what_outlives_the_run(self):
         c = cfg()

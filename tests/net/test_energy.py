@@ -30,14 +30,12 @@ class TestEnergyMeter:
         m.note_tx(2.0)
         m.note_tx(1.0)
         assert m.tx_time == pytest.approx(3.0)
-        assert m.tx_count == 2
 
     def test_rx_accounting(self):
         m = EnergyMeter(EnergyParams())
         m.note_rx(0.0, 1.0)
         m.note_rx(5.0, 0.5)
         assert m.rx_time == pytest.approx(1.5)
-        assert m.rx_count == 2
 
     def test_overlapping_rx_merged(self):
         # Two frames overlapping at the receiver must not double-charge.
@@ -105,16 +103,15 @@ class TestOutOfOrderRx:
         with pytest.raises(ValueError):
             m.note_rx(4.0, 2.0)  # [4, 6] reaches left of the interval
         assert m.rx_time == pytest.approx(2.0)
-        assert m.rx_count == 1
 
     def test_raise_leaves_meter_unchanged(self):
         m = EnergyMeter(EnergyParams())
         m.note_rx(0.0, 1.0, "data")  # [0, 1]
         m.note_rx(2.0, 1.0, "data")  # [2, 3]
-        before = (m.rx_time, m.rx_count, dict(m.rx_time_by_class))
+        before = (m.rx_time, m._rx_start, m._rx_last, dict(m.rx_time_by_class))
         with pytest.raises(ValueError):
             m.note_rx(0.5, 2.0, "ack")  # [0.5, 2.5] would bridge the gap
-        assert (m.rx_time, m.rx_count, dict(m.rx_time_by_class)) == before
+        assert (m.rx_time, m._rx_start, m._rx_last, dict(m.rx_time_by_class)) == before
         m.note_rx(2.5, 1.0, "ack")  # in order again: only [3, 3.5] is new
         assert m.rx_time == pytest.approx(2.5)
         assert m.rx_time_by_class["ack"] == pytest.approx(0.5)

@@ -60,20 +60,13 @@ class TestFailureModel:
         w = MiniWorld(chain_positions(1))
         w.nodes[0].fail()
         w.nodes[0].fail()
-        assert w.nodes[0].fail_count == 1
+        assert not w.nodes[0].up
+        assert w.tracer.registry.value("node.fail") == 1
 
     def test_recover_is_idempotent(self):
         w = MiniWorld(chain_positions(1))
         w.nodes[0].recover()  # already up: no-op
         assert w.nodes[0].up
-
-    def test_downtime_accounting(self):
-        w = MiniWorld(chain_positions(1))
-        node = w.nodes[0]
-        w.sim.schedule(1.0, node.fail)
-        w.sim.schedule(4.0, node.recover)
-        w.run(until=5.0)
-        assert node.downtime == 3.0
 
     def test_send_while_down_fails(self):
         w = MiniWorld(chain_positions(2))

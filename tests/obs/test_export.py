@@ -135,25 +135,25 @@ def test_every_reception_has_a_matching_transmission(tmp_path, seed):
     counters = run_observed(cfg, obs).metrics.counters
 
     tx_by_frame: dict[int, dict] = {}
-    tx_count = rx_count = 0
+    n_tx = n_rx = 0
     for rec in read_trace(path):
         if rec.category == "phy.tx":
-            tx_count += 1
+            n_tx += 1
             tx_by_frame[rec.get("frame")] = rec.as_dict()
         else:
             assert rec.category == "phy.rx"
-            rx_count += 1
+            n_rx += 1
             frame = rec.get("frame")
             assert frame in tx_by_frame, f"reception of never-transmitted frame {frame}"
             tx = tx_by_frame[frame]
             assert tx["src"] == rec.get("src")
             assert rec.get("node") != tx["src"], "node received its own frame"
-    assert rx_count > 0 and len(tx_by_frame) > 0
+    assert n_rx > 0 and len(tx_by_frame) > 0
     # one record per counted transmission (retries reuse a frame id) and
     # per counted reception: the once-per-frame phy.rx check and the
     # totals derived from the per-class counts agree
-    assert tx_count == counters["radio.tx"]
-    assert rx_count == counters["radio.rx"]
+    assert n_tx == counters["radio.tx"]
+    assert n_rx == counters["radio.rx"]
 
 
 def test_export_matches_in_memory_records_on_real_run(tmp_path):

@@ -193,7 +193,7 @@ def play(channel_cls, positions, txs, toggles):
         "n_halfduplex_loss": channel.n_halfduplex_loss,
         "rx_class_counts": dict(channel._rx_class_counts),
         "rx_energy": [
-            (r.energy.rx_time, r.energy.rx_count, r.energy.rx_time_by_class)
+            (r.energy.rx_time, r.energy.rx_time_by_class)
             for r in radios
         ],
         "busy_until": [r.busy_until for r in radios],

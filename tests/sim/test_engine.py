@@ -133,6 +133,23 @@ class TestCancellation:
         sim.run()
         assert out == []
 
+    def test_cancelled_entries_leave_only_by_the_lazy_pop(self):
+        # A mass cancellation leaves every entry queued; run() drops each
+        # one as it reaches the front, and the survivors keep their order.
+        sim = Simulator()
+        out = []
+        evs = [sim.schedule(float(i), out.append, i) for i in range(300)]
+        for i, ev in enumerate(evs):
+            if i % 3:
+                ev.cancel()
+        assert len(sim._heap) == 300
+        assert sim.pending_count() == 100
+        sim.run()
+        assert out == list(range(0, 300, 3))
+        assert sim.events_processed == 100
+        assert sim.cancelled_skipped == 200
+        assert sim.pending_count() == 0 and sim._heap == []
+
 
 class TestRunControl:
     def test_run_until_stops_clock_at_horizon(self):
@@ -160,25 +177,6 @@ class TestRunControl:
         sim.run(until=3.0)
         assert out == ["edge"]
 
-    def test_stop_halts_run(self):
-        sim = Simulator()
-        out = []
-        sim.schedule(1.0, lambda: (out.append("one"), sim.stop()))
-        sim.schedule(2.0, out.append, "two")
-        sim.run()
-        assert out == ["one"]
-
-    def test_step_fires_one_event(self):
-        sim = Simulator()
-        out = []
-        sim.schedule(1.0, out.append, "a")
-        sim.schedule(2.0, out.append, "b")
-        assert sim.step()
-        assert out == ["a"]
-        assert sim.step()
-        assert out == ["a", "b"]
-        assert not sim.step()
-
     def test_reentrant_run_rejected(self):
         sim = Simulator()
 
@@ -203,7 +201,7 @@ class TestRunControl:
         dead = sim.schedule(2.0, out.append, "b")
         dead.cancel()
         sim.clear()
-        assert sim.pending_count() == 0 and sim.peek_time() is None
+        assert sim.pending_count() == 0 and sim._heap == []
         assert not live.pending and live.fn is None and live.args == ()
         live.cancel()  # a dropped handle still cancels harmlessly
         assert sim.pending_count() == 0
@@ -219,29 +217,6 @@ class TestIntrospection:
         ev.cancel()
         assert sim.pending_count() == 1
 
-    def test_peek_time(self):
-        sim = Simulator()
-        assert sim.peek_time() is None
-        ev = sim.schedule(2.0, lambda: None)
-        sim.schedule(5.0, lambda: None)
-        assert sim.peek_time() == 2.0
-        ev.cancel()
-        assert sim.peek_time() == 5.0
-
-    def test_peek_time_purges_cancelled_front_entries(self):
-        sim = Simulator()
-        cancelled = [sim.schedule(float(i), lambda: None) for i in range(5)]
-        sim.schedule(10.0, lambda: None)
-        for ev in cancelled:
-            ev.cancel()
-        assert sim.peek_time() == 10.0
-        # the lazy scan removed the garbage and recorded the churn
-        assert len(sim._heap) == 1
-        assert sim.cancelled_skipped == 5
-        # repeated peeks don't re-count
-        assert sim.peek_time() == 10.0
-        assert sim.cancelled_skipped == 5
-
     def test_pending_count_is_live_counter(self):
         # pending_count is O(1) (len(heap) - cancelled-in-heap): check the
         # bookkeeping through every path a cancelled entry can leave by.
@@ -251,7 +226,7 @@ class TestIntrospection:
         evs[0].cancel()
         evs[0].cancel()  # idempotent: must not double-count
         assert sim.pending_count() == 3
-        sim.step()  # pops the cancelled head, then fires evs[1]
+        sim.run(until=2.0)  # pops the cancelled head, then fires evs[1]
         assert sim.pending_count() == 2
         evs[2].cancel()
         sim.run()  # drains the rest, skipping the cancelled entry
@@ -267,14 +242,6 @@ class TestIntrospection:
         assert sim.pending_count() == 1
         sim.run()
         assert sim.pending_count() == 0
-
-    def test_peek_time_all_cancelled_returns_none(self):
-        sim = Simulator()
-        evs = [sim.schedule(1.0, lambda: None), sim.schedule(2.0, lambda: None)]
-        for ev in evs:
-            ev.cancel()
-        assert sim.peek_time() is None
-        assert sim.cancelled_skipped == 2
 
     def test_run_counts_cancelled_churn(self):
         sim = Simulator()
@@ -301,7 +268,7 @@ class TestCohorts:
     def test_cohort_fires_once_counts_many(self):
         sim = Simulator()
         calls = []
-        sim.schedule_cohort(1.0, 5, calls.append, "batch")
+        sim.schedule_cohort_at(1.0, 5, calls.append, "batch")
         sim.run()
         assert calls == ["batch"]  # one dispatch...
         assert sim.events_processed == 5  # ...five logical events
@@ -319,7 +286,7 @@ class TestCohorts:
     def test_cohort_count_must_be_positive(self):
         sim = Simulator()
         with pytest.raises(SimulationError):
-            sim.schedule_cohort(1.0, 0, lambda: None)
+            sim.schedule_cohort_at(1.0, 0, lambda: None)
 
     def test_cohort_fifo_tie_order_matches_plain_events(self):
         # A cohort occupies exactly one (time, seq) slot: events scheduled
@@ -327,88 +294,15 @@ class TestCohorts:
         sim = Simulator()
         out = []
         sim.schedule(1.0, out.append, "before")
-        sim.schedule_cohort(1.0, 9, out.append, "cohort")
+        sim.schedule_cohort_at(1.0, 9, out.append, "cohort")
         sim.schedule(1.0, out.append, "after")
         sim.run()
         assert out == ["before", "cohort", "after"]
 
     def test_cancelled_cohort_counts_nothing(self):
         sim = Simulator()
-        ev = sim.schedule_cohort(1.0, 7, lambda: None)
+        ev = sim.schedule_cohort_at(1.0, 7, lambda: None)
         ev.cancel()
         sim.run()
         assert sim.events_processed == 0
         assert sim.cancelled_skipped == 1
-
-    def test_step_counts_cohort_members(self):
-        sim = Simulator()
-        sim.schedule_cohort(1.0, 4, lambda: None)
-        assert sim.step() is True
-        assert sim.events_processed == 4
-
-
-class TestHeapCompaction:
-    def test_compaction_sweeps_when_mostly_dead(self):
-        sim = Simulator()
-        evs = [sim.schedule(float(i + 1), lambda: None) for i in range(210)]
-        for ev in evs[:150]:
-            ev.cancel()
-        # The sweep fired as soon as dead entries outnumbered live ones
-        # (at the 106th cancellation: 105 live remain > we keep cancelling);
-        # the remaining cancellations re-accumulate below the floor.
-        assert sim.compaction_swept == 106
-        assert len(sim._heap) == 104
-        assert sim._cancelled_pending == 44
-        assert sim.pending_count() == 60
-        sim.run()
-        assert sim.events_processed == 60
-        # every cancelled entry was counted exactly once, sweep or lazy pop
-        assert sim.cancelled_skipped == 150
-
-    def test_no_compaction_below_floor(self):
-        sim = Simulator()
-        evs = [sim.schedule(float(i + 1), lambda: None) for i in range(20)]
-        for ev in evs[:15]:
-            ev.cancel()
-        # 15 dead of 20 is proportionally plenty but under the 64 floor
-        assert sim.compaction_swept == 0
-        assert len(sim._heap) == 20
-        sim.run()
-        assert sim.events_processed == 5
-        assert sim.cancelled_skipped == 15
-
-    def test_compaction_preserves_order_and_pending_count(self):
-        sim = Simulator()
-        out = []
-        survivors = []
-        doomed = []
-        for i in range(300):
-            ev = sim.schedule(float(i), out.append, i)
-            (survivors if i % 3 == 0 else doomed).append((i, ev))
-        for _i, ev in doomed:
-            ev.cancel()
-        assert sim.compaction_swept > 0
-        assert sim.pending_count() == len(survivors)
-        sim.run()
-        # survivors fire in their original time order, none lost
-        assert out == [i for i, _ev in survivors]
-        assert sim.events_processed == len(survivors)
-
-    def test_compaction_mid_run_keeps_local_heap_alias_valid(self):
-        # Cancelling from inside a fired event triggers compaction while
-        # run() holds a local reference to the heap list; the sweep must
-        # mutate that same list in place.
-        sim = Simulator()
-        doomed = [sim.schedule(50.0 + i, lambda: None) for i in range(150)]
-        out = []
-
-        def cancel_all():
-            for ev in doomed:
-                ev.cancel()
-
-        sim.schedule(1.0, cancel_all)
-        sim.schedule(2.0, out.append, "after")
-        sim.run()
-        assert out == ["after"]
-        assert sim.compaction_swept > 0
-        assert sim.events_processed == 2

@@ -120,8 +120,8 @@ class TestProfiler:
 
         real_build_world = runner.build_world
 
-        def build_world(cfg, field_cache=None):
-            world = real_build_world(cfg, field_cache=field_cache)
+        def build_world(cfg):
+            world = real_build_world(cfg)
             world.sim.schedule(cfg.warmup / 2, boom)
             return world
 

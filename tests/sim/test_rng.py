@@ -41,19 +41,3 @@ class TestRngRegistry:
         r2 = RngRegistry(5)
         v2 = r2.stream("second").random()
         assert v1 == v2
-
-    def test_spawn_child_independent(self):
-        parent = RngRegistry(3)
-        child = parent.spawn("worker")
-        assert parent.stream("x").random() != child.stream("x").random()
-
-    def test_spawn_deterministic(self):
-        a = RngRegistry(3).spawn("w").stream("x").random()
-        b = RngRegistry(3).spawn("w").stream("x").random()
-        assert a == b
-
-    def test_names_listing(self):
-        reg = RngRegistry(1)
-        reg.stream("b")
-        reg.stream("a")
-        assert list(reg.names()) == ["a", "b"]

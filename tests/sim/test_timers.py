@@ -4,67 +4,7 @@ import random
 
 import pytest
 
-from repro.sim import OneShotTimer, PeriodicTimer, Simulator
-
-
-class TestOneShotTimer:
-    def test_fires_after_delay(self):
-        sim = Simulator()
-        fired = []
-        timer = OneShotTimer(sim, lambda: fired.append(sim.now))
-        timer.start(2.0)
-        sim.run()
-        assert fired == [2.0]
-
-    def test_cancel_prevents_firing(self):
-        sim = Simulator()
-        fired = []
-        timer = OneShotTimer(sim, lambda: fired.append(1))
-        timer.start(2.0)
-        timer.cancel()
-        sim.run()
-        assert fired == []
-
-    def test_restart_replaces_pending_expiry(self):
-        sim = Simulator()
-        fired = []
-        timer = OneShotTimer(sim, lambda: fired.append(sim.now))
-        timer.start(2.0)
-        sim.schedule(1.0, lambda: timer.restart(3.0))
-        sim.run()
-        assert fired == [4.0]
-
-    def test_double_start_rejected(self):
-        sim = Simulator()
-        timer = OneShotTimer(sim, lambda: None)
-        timer.start(1.0)
-        with pytest.raises(RuntimeError):
-            timer.start(1.0)
-
-    def test_armed_and_expiry_time(self):
-        sim = Simulator()
-        timer = OneShotTimer(sim, lambda: None)
-        assert not timer.armed
-        assert timer.expiry_time is None
-        timer.start(2.5)
-        assert timer.armed
-        assert timer.expiry_time == 2.5
-        sim.run()
-        assert not timer.armed
-
-    def test_can_rearm_after_fire(self):
-        sim = Simulator()
-        fired = []
-        timer = OneShotTimer(sim, lambda: fired.append(sim.now))
-        timer.start(1.0)
-        sim.run()
-        timer.start(1.0)
-        sim.run()
-        assert fired == [1.0, 2.0]
-
-    def test_cancel_when_disarmed_is_noop(self):
-        timer = OneShotTimer(Simulator(), lambda: None)
-        timer.cancel()  # must not raise
+from repro.sim import PeriodicTimer, Simulator
 
 
 class TestPeriodicTimer:
@@ -83,29 +23,6 @@ class TestPeriodicTimer:
         timer.start(initial_delay=0.0)
         sim.run(until=5.0)
         assert ticks == [0.0, 2.0, 4.0]
-
-    def test_stop_halts_ticking(self):
-        sim = Simulator()
-        ticks = []
-        timer = PeriodicTimer(sim, lambda: ticks.append(sim.now), period=1.0)
-        timer.start()
-        sim.schedule(2.5, timer.stop)
-        sim.run(until=10.0)
-        assert ticks == [1.0, 2.0]
-
-    def test_callback_may_stop_timer(self):
-        sim = Simulator()
-        ticks = []
-
-        def cb():
-            ticks.append(sim.now)
-            if len(ticks) == 3:
-                timer.stop()
-
-        timer = PeriodicTimer(sim, cb, period=1.0)
-        timer.start()
-        sim.run(until=10.0)
-        assert ticks == [1.0, 2.0, 3.0]
 
     def test_jitter_bounds(self):
         sim = Simulator()
@@ -139,18 +56,11 @@ class TestPeriodicTimer:
         with pytest.raises(RuntimeError):
             timer.start()
 
-    def test_fire_count(self):
-        sim = Simulator()
-        timer = PeriodicTimer(sim, lambda: None, period=1.0)
-        timer.start()
-        sim.run(until=5.5)
-        assert timer.fire_count == 5
-
     def test_running_property(self):
         sim = Simulator()
         timer = PeriodicTimer(sim, lambda: None, period=1.0)
         assert not timer.running
         timer.start()
         assert timer.running
-        timer.stop()
+        sim.clear()  # how a finished run stops its timers
         assert not timer.running
