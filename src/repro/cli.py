@@ -10,6 +10,7 @@ Subcommands::
     repro-wsn all   --profile fast                           # every figure
     repro-wsn bench --out BENCH_sweep.json                   # canonical perf run
     repro-wsn stats m.json                                   # inspect manifest
+    repro-wsn fig fig5 --profile smoke --save f.json         # one file: the figure manifest
     repro-wsn stats t.jsonl                                  # inspect trace
     repro-wsn stats --list-categories                        # trace categories
     repro-wsn run --audit --trace-out t.jsonl                # audited run
@@ -19,7 +20,8 @@ Subcommands::
     repro-wsn run --timeline                                 # sampled probe series
     repro-wsn timeline tl.json                               # render a timeline
     repro-wsn timeline runs/runs/KEY.json                    # ... from a store entry
-    repro-wsn timeline fig5.manifest.json --cell greedy@150  # ... one figure cell
+    repro-wsn timeline f.json --cell greedy@150              # ... one saved figure's cell
+    repro-wsn timeline tl.json --chrome-trace t.json         # ... and export it to Perfetto
     repro-wsn run --channel pathloss --bands 2               # pathloss/SINR PHY
     repro-wsn fig channel-density --profile fast             # disc vs pathloss
     repro-wsn fig fig5 --store runs/                         # resumable sweep
@@ -246,7 +248,10 @@ def build_parser() -> argparse.ArgumentParser:
     fig_p.add_argument("--profile", choices=sorted(PROFILES), default="fast")
     fig_p.add_argument("--trials", type=int, default=None)
     fig_p.add_argument("--workers", type=int, default=0)
-    fig_p.add_argument("--save", metavar="PATH", help="write the result as JSON")
+    fig_p.add_argument(
+        "--save", metavar="PATH",
+        help="write the figure and how it was run as one JSON manifest",
+    )
     fig_p.add_argument("--csv", metavar="PATH", help="export the series as CSV")
     fig_p.add_argument(
         "--store",
@@ -482,10 +487,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     stats_p = sub.add_parser(
-        "stats", help="pretty-print a manifest.json or a JSONL trace file"
+        "stats",
+        help="pretty-print a run manifest, a saved figure, or a JSONL trace file",
     )
     stats_p.add_argument(
-        "file", nargs="?", help="path to a manifest or trace produced by this tool"
+        "file", nargs="?",
+        help="path to a run manifest, saved figure, or trace produced by this tool",
     )
     stats_p.add_argument(
         "--top", type=int, default=12, help="how many top counters/categories to show"
@@ -507,7 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     diff_p = sub.add_parser(
-        "diff", help="compare two run/figure/timeline artifacts (manifests, store entries, results)"
+        "diff", help="compare two run/figure/timeline artifacts (manifests, store entries, saved figures)"
     )
     diff_p.add_argument("a", help="baseline artifact")
     diff_p.add_argument("b", help="candidate artifact")
@@ -521,14 +528,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     timeline_p.add_argument(
         "target",
-        help="timeline JSON, Chrome trace, store entry, run manifest, "
-        "or figure manifest (the latter needs --cell)",
+        help="timeline JSON, store entry, run manifest, "
+        "or saved figure (the latter needs --cell)",
     )
     timeline_p.add_argument(
         "--cell",
         metavar="SCHEME@X",
-        help="which figure-manifest cell to re-run, under the profile and "
-        "channel the manifest records (e.g. greedy@150; channel-density "
+        help="which saved-figure cell to re-run, under the profile and "
+        "channel the figure records (e.g. greedy@150; channel-density "
         "cells are scheme@channel@x, e.g. greedy@pathloss@150)",
     )
     timeline_p.add_argument(
@@ -553,7 +560,8 @@ def build_parser() -> argparse.ArgumentParser:
     timeline_p.add_argument(
         "--chrome-trace",
         metavar="OUT",
-        help="also export the timeline as Chrome-trace counter tracks",
+        help="also export the timeline as Chrome-trace counter tracks "
+        "(for viewing in Perfetto; no verb reads it back)",
     )
 
     return parser
@@ -720,25 +728,18 @@ def _cmd_fig(args: argparse.Namespace) -> int:
             f"{s.persisted} persisted ({args.store})"
         )
     if args.save:
-        from .experiments.persistence import (
-            build_figure_manifest,
-            manifest_path_for,
-            save_figure_json,
-            save_manifest,
-        )
+        from .experiments.persistence import build_figure_manifest, save_manifest
 
-        print(f"saved: {save_figure_json(result, args.save)}")
         manifest = build_figure_manifest(
             result,
             profile,
             wall_time_s=wall,
             trials=args.trials,
             workers=args.workers,
-            result_path=args.save,
             store=_store_block(store, args.store) if store is not None else None,
             channel=channel,
         )
-        print(f"manifest: {save_manifest(manifest, manifest_path_for(args.save))}")
+        print(f"saved: {save_manifest(manifest, args.save)}")
     if args.csv:
         from .experiments.persistence import export_figure_csv
 
@@ -752,17 +753,8 @@ _ARTIFACT_READERS = {
     "run": ("stats", "audit", "diff", "timeline"),
     "figure": ("stats", "audit", "diff", "timeline"),
     "store-entry": ("audit", "diff", "timeline"),
-    "figure-result": ("audit", "diff"),
     "timeline": ("diff", "timeline"),
-    "chrome-trace": ("timeline",),
     "trace": ("stats", "audit"),
-}
-
-#: what else a verb says when it refuses one of these kinds
-_ARTIFACT_NOTES = {
-    "figure-result": "its manifest {manifest} records how it was run",
-    "trace": "a JSONL trace holds records, not a timeline "
-    "(record one with 'repro run --timeline-out')",
 }
 
 
@@ -773,15 +765,17 @@ def _read_artifact(verb: str, path) -> tuple[str, dict]:
     that is no artifact, or whose kind ``verb`` does not read; each
     artifact verb prints the message and exits 2.
     """
-    from .experiments.persistence import manifest_path_for
     from .obs import load_artifact
 
     kind, data = load_artifact(path)
     readers = _ARTIFACT_READERS[kind]
     if verb not in readers:
         reason = f"{path} is a {kind.replace('-', ' ')}, which 'repro {verb}' does not read"
-        if kind in _ARTIFACT_NOTES:
-            reason += "; " + _ARTIFACT_NOTES[kind].format(manifest=manifest_path_for(path))
+        if kind == "trace":
+            reason += (
+                "; a JSONL trace holds records, not a timeline "
+                "(record one with 'repro run --timeline-out')"
+            )
         raise ValueError(
             f"{reason}; read it with " + " or ".join(f"'repro {v}'" for v in readers)
         )
@@ -850,7 +844,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
             print(f"audit: {path}: bad trace line: {exc}", file=sys.stderr)
             return 2
         mode = "stream (trace replay)"
-    elif kind in ("figure", "figure-result"):
+    elif kind == "figure":
         findings = audit_figure_cells(data["cells"])
         mode = "static (figure cells)"
     else:  # a run manifest or a store entry
@@ -908,32 +902,27 @@ def _timeline_from_live_run(cfg, interval) -> "object":
 def _load_timeline_target(args: argparse.Namespace):
     """Resolve the ``timeline`` verb's target to ``(Timeline, source)``.
 
-    A saved timeline renders as it is, a Chrome trace through its counter
-    tracks.  A store entry or run manifest renders the timeline stored
-    with it, else re-runs its config; a figure manifest re-runs one
-    ``--cell`` under the profile and channel it records.
+    A saved timeline renders as it is.  A store entry or run manifest
+    renders the timeline stored with it, else re-runs its config; a saved
+    figure re-runs one ``--cell`` under the profile and channel it
+    records.
     """
     import json
     from pathlib import Path
 
     from .experiments import config_from_dict, figure_cell_config
+    from .experiments.store import stored_timeline
     from .net.channel import ChannelSpec
-    from .obs import Timeline, chrome_trace_to_timeline
+    from .obs import Timeline
 
     path = Path(args.target)
     kind, data = _read_artifact("timeline", path)
     if kind == "timeline":
         return Timeline.from_dict(data), "timeline artifact"
-    if kind == "chrome-trace":
-        return chrome_trace_to_timeline(path), "chrome trace"
     if kind == "store-entry":
-        # prefer the persisted sibling timeline
-        sibling = path.parent.parent / "timelines" / f"{data.get('key', path.stem)}.json"
-        if sibling.exists():
-            return (
-                Timeline.from_dict(json.loads(sibling.read_text())),
-                f"store timeline ({sibling})",
-            )
+        stored = stored_timeline(path)
+        if stored is not None:
+            return Timeline.from_dict(stored), f"store timeline ({path.stem})"
         cfg = config_from_dict(data["identity"]["config"])
         return _timeline_from_live_run(cfg, args.interval), "live re-run (store entry)"
     if kind == "run":
@@ -945,7 +934,7 @@ def _load_timeline_target(args: argparse.Namespace):
             )
         cfg = config_from_dict(data["config"])
         return _timeline_from_live_run(cfg, args.interval), "live re-run (run manifest)"
-    # a figure manifest: re-run one cell
+    # a saved figure: re-run one cell
     if not args.cell:
         raise ValueError("figure artifacts need --cell SCHEME@X (e.g. --cell greedy@150)")
     # rpartition: channel-density cells are labeled scheme@channel@x

@@ -4,8 +4,8 @@ persistence, and the resumable run store.
 Reproduces §5 of the paper: the three metrics, the density/source/sink
 sweeps, the failure study, and the aggregation-function sensitivity —
 plus the GIT-vs-SPT abstract comparison from related work.  Results
-persist two ways: whole-figure JSON checkpoints
-(:mod:`~repro.experiments.persistence`) and the per-run
+persist two ways: saved figures, one manifest file each
+(:mod:`~repro.experiments.persistence`), and the per-run
 content-addressed store (:mod:`~repro.experiments.store`) that makes
 interrupted sweeps resumable.
 """
@@ -46,8 +46,6 @@ from .persistence import (
     export_figure_csv,
     load_figure_json,
     load_manifest,
-    manifest_path_for,
-    save_figure_json,
     save_manifest,
 )
 from .report import (
@@ -121,14 +119,12 @@ __all__ = [
     "tree_stats",
     "compare_with_ideal",
     "delivery_timeline",
-    "save_figure_json",
     "load_figure_json",
     "export_figure_csv",
     "save_manifest",
     "load_manifest",
     "build_run_manifest",
     "build_figure_manifest",
-    "manifest_path_for",
     "RunStore",
     "StoreStats",
     "open_store",

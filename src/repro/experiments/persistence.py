@@ -1,13 +1,17 @@
-"""Result persistence: save and reload figure results as JSON/CSV,
-plus run/figure provenance manifests.
+"""Figure persistence: the saved figure, its CSV export and the payload
+the service serves, plus the run/figure manifest builders.
 
 Two complementary mechanisms persist sweep work:
 
-* **Figure checkpoints** (this module): a finished
-  :class:`~repro.experiments.figures.FigureResult` round-trips through
-  JSON for later reporting or cross-profile comparison (EXPERIMENTS.md's
-  tables are generated this way); CSV is a convenience export with one
-  row per (scheme, sweep value).
+* **The saved figure**: ``repro fig --save PATH`` writes one file, the
+  figure manifest (:func:`~repro.obs.manifest.build_figure_manifest`).
+  Its ``cells`` are the figure's results, next to the profile, channel
+  and store accounting of the sweep that made them, and
+  :func:`load_figure_json` reads it back into the same
+  :class:`~repro.experiments.figures.FigureResult` (EXPERIMENTS.md's
+  tables are generated this way).  :func:`figure_payload` is the dict
+  the :mod:`repro.service` results API serves, with the same cells; CSV
+  is a convenience export with one row per (scheme, sweep value).
 * **The run store** (:mod:`repro.experiments.store`):
   per-run, content-addressed persistence that makes long sweeps
   crash-safe and incremental — each completed
@@ -15,16 +19,14 @@ Two complementary mechanisms persist sweep work:
   under its config's content hash, and ``run_configs(..., store=...)``
   skips runs already stored.
 
-Provenance: every saved artifact can carry a ``manifest.json`` tying it
-to the exact config/seed/version/host that produced it — the builders
-and (re)loaders live in :mod:`repro.obs.manifest` and are re-exported
-here so persistence stays the one-stop module for disk formats.
+The manifest builders and (re)loaders live in :mod:`repro.obs.manifest`
+and are re-exported here so persistence stays the one-stop module for
+disk formats.
 """
 
 from __future__ import annotations
 
 import csv
-import json
 from pathlib import Path
 from typing import Union, get_type_hints
 
@@ -39,22 +41,13 @@ from .sweeps import CellSummary
 
 __all__ = [
     "figure_payload",
-    "figure_from_payload",
-    "save_figure_json",
     "load_figure_json",
     "export_figure_csv",
     "save_manifest",
     "load_manifest",
     "build_run_manifest",
     "build_figure_manifest",
-    "manifest_path_for",
 ]
-
-
-def manifest_path_for(result_path: Union[str, Path]) -> Path:
-    """Conventional manifest location next to a saved result file."""
-    p = Path(result_path)
-    return p.with_name(p.stem + ".manifest.json")
 
 _FORMAT_VERSION = 1
 
@@ -64,11 +57,10 @@ _CELL_FIELDS = tuple(get_type_hints(CellSummary).items())
 
 
 def figure_payload(result: FigureResult) -> dict:
-    """The JSON-friendly dict of one figure result (lossless).
+    """The JSON-friendly dict of one figure result.
 
-    Shared by :func:`save_figure_json` and the :mod:`repro.service`
-    results API, so a figure fetched over HTTP is byte-identical to one
-    saved locally.
+    The :mod:`repro.service` results API serves it; its ``cells`` equal
+    those of the figure ``repro fig --save`` writes.
     """
     return {
         "format_version": _FORMAT_VERSION,
@@ -82,32 +74,23 @@ def figure_payload(result: FigureResult) -> dict:
     }
 
 
-def save_figure_json(result: FigureResult, path: Union[str, Path]) -> Path:
-    """Serialize a figure result (lossless round trip)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(figure_payload(result), indent=2, sort_keys=True))
-    return path
-
-
 def load_figure_json(path: Union[str, Path]) -> FigureResult:
-    """Reload a figure result saved by :func:`save_figure_json`."""
-    return figure_from_payload(json.loads(Path(path).read_text()))
+    """Reload the figure that ``repro fig --save`` wrote at ``path``.
 
-
-def figure_from_payload(payload: dict) -> FigureResult:
-    """Rebuild a :class:`FigureResult` from its :func:`figure_payload` dict."""
-    version = payload.get("format_version")
-    if version != _FORMAT_VERSION:
-        raise ValueError(f"unsupported figure file version: {version!r}")
+    Rejects another manifest version or kind with ``ValueError`` and
+    coerces each cell value to its :class:`CellSummary` field type.
+    """
+    data = load_manifest(path)
+    if data.get("kind") != "figure":
+        raise ValueError(f"{path}: a {data.get('kind')!r} manifest, not a saved figure")
     cells = tuple(
         CellSummary(**{name: kind(c[name]) for name, kind in _CELL_FIELDS})
-        for c in payload["cells"]
+        for c in data["cells"]
     )
     return FigureResult(
-        figure_id=payload["figure_id"],
-        title=payload["title"],
-        x_label=payload["x_label"],
+        figure_id=data["figure_id"],
+        title=data["title"],
+        x_label=data["x_label"],
         cells=cells,
     )
 

@@ -1,8 +1,8 @@
 """Resumable, content-addressed run store.
 
 A long sweep is a grid of expensive, fully deterministic simulations
-(densities x schemes x seeds).  Figure-level JSON checkpoints
-(:mod:`repro.experiments.persistence`) only help once *every* run of a
+(densities x schemes x seeds).  A saved figure
+(:mod:`repro.experiments.persistence`) only helps once *every* run of a
 figure finished; a crash, Ctrl-C, or :class:`~repro.experiments.sweeps.RunFailure`
 partway through discards hours of completed work.  The store closes that
 gap at run granularity:
@@ -64,6 +64,7 @@ __all__ = [
     "RunStore",
     "StoreStats",
     "open_store",
+    "stored_timeline",
 ]
 
 #: bump to invalidate every existing store entry (schema change)
@@ -267,15 +268,9 @@ class RunStore:
     def get_timeline(
         self, key_or_cfg: Union[str, ExperimentConfig]
     ) -> Optional[dict[str, Any]]:
-        """The stored timeline dict for a run, or None (corrupt = miss)."""
-        path = self.timeline_path_for(key_or_cfg)
-        try:
-            data = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError):
-            return None
-        if not isinstance(data, dict) or data.get("store_version") != STORE_VERSION:
-            return None
-        return data
+        """The stored timeline dict for a run, or None (see :func:`stored_timeline`)."""
+        key = key_or_cfg if isinstance(key_or_cfg, str) else run_key(key_or_cfg)
+        return stored_timeline(self.path_for(key))
 
     # ------------------------------------------------------------------
     # maintenance: ls / gc / rm
@@ -450,6 +445,28 @@ def _metrics_from_dict(data: dict[str, Any]) -> RunMetrics:
 
 def _opt_float(value: Any) -> Optional[float]:
     return None if value is None else float(value)
+
+
+def stored_timeline(entry_path: Union[str, Path]) -> Optional[dict[str, Any]]:
+    """The timeline stored with the entry at ``entry_path``, or None.
+
+    The entry is ``<root>/runs/<key>.json`` and its timeline
+    ``<root>/timelines/<key>.json``.  A missing, unreadable or corrupt
+    timeline, or one another :data:`STORE_VERSION` wrote, is a miss.
+    This is the one reader of stored timelines: :meth:`RunStore.get_timeline`
+    (the daemon's ``/api/v1/runs/<key>/timeline`` and ``store gc``) and
+    ``repro timeline <entry>`` both call it.  It only reads, so it
+    creates no store directories.
+    """
+    entry_path = Path(entry_path)
+    path = entry_path.parent.parent / "timelines" / entry_path.name
+    try:
+        data = json.loads(path.read_text())
+    except (OSError, ValueError):  # ValueError: bad JSON or not UTF-8 text
+        return None
+    if not isinstance(data, dict) or data.get("store_version") != STORE_VERSION:
+        return None
+    return data
 
 
 def open_store(

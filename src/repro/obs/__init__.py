@@ -24,7 +24,6 @@ from .audit import (
 from .diff import diff_artifacts, diff_timelines, format_diff, load_artifact
 from .export import (
     TraceWriter,
-    chrome_trace_to_timeline,
     iter_trace_lines,
     read_trace,
     trace_summary,
@@ -132,5 +131,4 @@ __all__ = [
     "sparkline",
     "format_timeline",
     "write_chrome_trace",
-    "chrome_trace_to_timeline",
 ]

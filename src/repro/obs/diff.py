@@ -5,10 +5,8 @@ artifact verb (``stats``, ``audit``, ``diff``, ``timeline``) dispatches
 on the kind it returns.
 
 ``repro diff a b`` compares two run manifests or store entries, two
-figure manifests or saved figure results, or two timelines, without
-caring which combination it got: run-like artifacts all embed a
-``RunMetrics`` asdict, figure-like artifacts all embed a ``CellSummary``
-list, so the diff works on the shared views.
+saved figures, or two timelines.  Run manifests and store entries both
+embed a ``RunMetrics`` asdict, so either diffs against the other.
 
 The output is a plain JSON-ready dict (machine mode) with a table
 renderer on top (human mode).  ``equal`` is strict: any metric, counter,
@@ -47,13 +45,13 @@ def load_artifact(path: Union[str, Path]) -> tuple[str, dict[str, Any]]:
     """Load an artifact and classify it: the one classifier of every verb.
 
     Returns ``(kind, payload)`` with kind one of ``"run"`` (run manifest),
-    ``"figure"`` (figure manifest), ``"store-entry"``,
-    ``"figure-result"``, ``"timeline"`` (a saved probe timeline),
-    ``"chrome-trace"`` or ``"trace"`` (a JSONL trace).  A trace is
-    recognized by its first line, the ``meta`` header, which is its
-    payload: the rest of the file is left for the streaming readers.
-    Raises ``OSError`` for a file it cannot open (``FileNotFoundError``
-    for a missing one) and ``ValueError`` for one that is no artifact.
+    ``"figure"`` (a saved figure: its manifest), ``"store-entry"``,
+    ``"timeline"`` (a saved probe timeline) or ``"trace"`` (a JSONL
+    trace).  A trace is recognized by its first line, the ``meta``
+    header, which is its payload: the rest of the file is left for the
+    streaming readers.  Raises ``OSError`` for a file it cannot open
+    (``FileNotFoundError`` for a missing one) and ``ValueError`` for one
+    that is no artifact.
     """
     path = Path(path)
     if not path.exists():
@@ -85,10 +83,6 @@ def load_artifact(path: Union[str, Path]) -> tuple[str, dict[str, Any]]:
         raise ValueError(f"{path}: unknown manifest kind {kind!r}")
     if "store_version" in data and "metrics" in data:
         return "store-entry", data
-    if "format_version" in data and "cells" in data:
-        return "figure-result", data
-    if "traceEvents" in data:
-        return "chrome-trace", data
     raise ValueError(f"{path}: unrecognized artifact shape")
 
 
@@ -250,12 +244,11 @@ def diff_artifacts(
     kind_a, data_a = load_artifact(path_a)
     kind_b, data_b = load_artifact(path_b)
     run_like = {"run", "store-entry"}
-    figure_like = {"figure", "figure-result"}
-    if kind_a == "timeline" and kind_b == "timeline":
+    if kind_a == kind_b == "timeline":
         out = diff_timelines(data_a, data_b)
     elif kind_a in run_like and kind_b in run_like:
         out = diff_run_metrics(data_a.get("metrics", {}), data_b.get("metrics", {}))
-    elif kind_a in figure_like and kind_b in figure_like:
+    elif kind_a == kind_b == "figure":
         out = diff_figure_cells(data_a.get("cells", []), data_b.get("cells", []))
     else:
         raise ValueError(

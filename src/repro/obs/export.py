@@ -1,4 +1,4 @@
-"""Streaming JSONL trace export.
+"""Trace export: the streaming JSONL trace, and Chrome traces for viewing.
 
 A :class:`TraceWriter` registers as a :class:`~repro.sim.trace.Tracer`
 listener and serializes every recorded :class:`TraceRecord` to one JSON
@@ -19,6 +19,9 @@ scalars (str/int/float/bool/None) reads back **exactly** via
 :func:`read_trace`; richer values degrade to their JSON image (tuples
 become lists, unknown objects become ``str``).  Property tests lean on
 the exact case.
+
+:func:`write_chrome_trace` exports service spans and probe timelines for
+viewing in Perfetto; no verb reads such a file back.
 """
 
 from __future__ import annotations
@@ -37,7 +40,6 @@ __all__ = [
     "trace_summary",
     "TRACE_VERSION",
     "write_chrome_trace",
-    "chrome_trace_to_timeline",
 ]
 
 TRACE_VERSION = 1
@@ -119,27 +121,24 @@ def read_trace(
 def write_chrome_trace(path: Union[str, Path], *, spans=None, timeline=None) -> Path:
     """Write spans and/or a probe timeline as one Chrome trace (Perfetto-loadable).
 
+    The file is for viewing only: its sources stay the timeline JSON and
+    the daemon's span endpoints, and no verb reads it back.
+
     ``spans`` (span objects or their payload dicts) become ``"ph": "X"``
     complete events, with timestamps rebased to the earliest span start
     so the view opens at t=0.  Spans of one trace share a ``tid``, which
     a ``thread_name`` event names once, so every request renders as its
     own track with parent/child nesting as stacked slices.  Ids, status
-    and attributes ride in ``args``; the raw payloads are kept under
-    ``otherData.spans`` so nothing is lost to the viewer format.
+    and attributes ride in ``args``.
 
     ``timeline`` (a :class:`~repro.obs.timeline.Timeline` or its dict
     form) becomes one ``"ph": "C"`` counter series per probe (timestamps
-    in microseconds, as the format requires).  The exact sample times and
-    probe metadata ride along under ``otherData.timeline``, so
-    :func:`chrome_trace_to_timeline` round-trips the timeline losslessly.
+    in microseconds, as the format requires).
     """
-    from .timeline import TIMELINE_VERSION  # local: avoids import cycles at package init
-
     process = "repro service" if spans is not None else "repro-wsn run"
     events: list[dict[str, Any]] = [
         {"name": "process_name", "ph": "M", "pid": 1, "args": {"name": process}}
     ]
-    other: dict[str, Any] = {}
     if spans is not None:
         spans = [s.as_dict() if hasattr(s, "as_dict") else dict(s) for s in spans]
         t0 = min((s["start_s"] for s in spans), default=0.0)
@@ -175,13 +174,10 @@ def write_chrome_trace(path: Union[str, Path], *, spans=None, timeline=None) -> 
                     },
                 }
             )
-        other["spans"] = spans
-        other["span_epoch_s"] = t0
     if timeline is not None:
         data = timeline.as_dict() if hasattr(timeline, "as_dict") else dict(timeline)
         times = data.get("times", [])
-        probes = data.get("probes", ())
-        for probe in probes:
+        for probe in data.get("probes", ()):
             for t, v in zip(times, probe["values"]):
                 events.append(
                     {
@@ -193,74 +189,11 @@ def write_chrome_trace(path: Union[str, Path], *, spans=None, timeline=None) -> 
                         "args": {"value": v},
                     }
                 )
-        other["timeline"] = {
-            "timeline_version": data.get("timeline_version", TIMELINE_VERSION),
-            "interval": data.get("interval"),
-            "duration": data.get("duration"),
-            "times": list(times),
-            "probes": [
-                {
-                    "name": p["name"],
-                    "kind": p.get("kind", "float"),
-                    "description": p.get("description", ""),
-                }
-                for p in probes
-            ],
-        }
-    payload = {"traceEvents": events, "displayTimeUnit": "ms", "otherData": other}
+    payload = {"traceEvents": events, "displayTimeUnit": "ms"}
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(payload, sort_keys=True, default=str))
     return path
-
-
-def chrome_trace_to_timeline(path: Union[str, Path]):
-    """Rebuild a :class:`~repro.obs.timeline.Timeline` from a Chrome trace.
-
-    Prefers the lossless ``otherData.timeline`` block our exporter writes;
-    counter events supply the values either way, so traces trimmed by
-    other tools still load (with float-microsecond time precision).
-    Raises ``ValueError`` for a trace with neither, such as a spans-only
-    export: it holds no timeline.
-    """
-    from .timeline import TIMELINE_VERSION, Timeline
-
-    data = json.loads(Path(path).read_text())
-    if not isinstance(data, dict) or "traceEvents" not in data:
-        raise ValueError(f"{path}: not a Chrome trace (no traceEvents)")
-    meta = (data.get("otherData") or {}).get("timeline") or {}
-
-    series: dict[str, list] = {}
-    times_seen: list[float] = []
-    for ev in data["traceEvents"]:
-        if ev.get("ph") != "C":
-            continue
-        name = ev.get("name")
-        values = series.setdefault(name, [])
-        values.append(ev.get("args", {}).get("value"))
-        if len(times_seen) < len(values):
-            times_seen.append(ev.get("ts", 0.0) / 1e6)
-    if not series and not meta:
-        raise ValueError(f"{path}: no timeline in this Chrome trace (no counter tracks)")
-
-    probes = meta.get("probes") or [{"name": name} for name in series]
-    return Timeline.from_dict(
-        {
-            "timeline_version": meta.get("timeline_version", TIMELINE_VERSION),
-            "interval": meta.get("interval"),
-            "duration": meta.get("duration"),
-            "times": meta.get("times") or times_seen,
-            "probes": [
-                {
-                    "name": p["name"],
-                    "kind": p.get("kind", "float"),
-                    "description": p.get("description", ""),
-                    "values": series.get(p["name"], []),
-                }
-                for p in probes
-            ],
-        }
-    )
 
 
 def trace_summary(path: Union[str, Path]) -> dict[str, Any]:

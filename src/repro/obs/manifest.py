@@ -1,11 +1,13 @@
-"""Run provenance manifests.
+"""Run and figure provenance manifests.
 
 A manifest ties a result back to exactly what produced it: the full
 config (every knob, not just the swept ones), the seed, the package
 version, host/interpreter info, wall-clock cost, and the metrics summary.
-``repro stats manifest.json`` pretty-prints one; sweeps write a
-``kind: "figure"`` variant next to their saved series, which also
-records run-store hit/miss accounting when the sweep was resumable
+``repro stats manifest.json`` pretty-prints one.  A run manifest holds
+each counter once, under ``metrics``, and the simulator's histograms
+under ``histograms``.  A saved figure is one ``kind: "figure"``
+manifest: its ``cells`` are the figure's results, beside the profile,
+channel and run-store hit/miss accounting of the sweep that made them
 (``store=`` / ``--store``).  The config/version identity block captured
 here is the same information the run store hashes into its content keys
 (:mod:`repro.experiments.store`).
@@ -104,8 +106,8 @@ def build_run_manifest(
         }
     if field_info is not None:
         manifest["field"] = dict(field_info)
-    if registry is not None:
-        manifest["metrics_snapshot"] = registry.snapshot()
+    if registry is not None:  # its counters and gauges are already in ``metrics``
+        manifest["histograms"] = registry.snapshot()["histograms"]
     if profile_report is not None:
         manifest["profile"] = dict(profile_report)
     if trace_path is not None:
@@ -124,12 +126,15 @@ def build_figure_manifest(
     wall_time_s: float,
     trials: Optional[int] = None,
     workers: int = 0,
-    result_path: Optional[Union[str, Path]] = None,
     store: Optional[dict[str, Any]] = None,
     channel: Optional["ChannelSpec"] = None,
 ) -> dict[str, Any]:
     """Assemble the provenance manifest for one figure sweep.
 
+    ``repro fig --save`` writes it as the saved figure, the only file:
+    its ``cells`` equal :func:`~repro.experiments.persistence.figure_payload`'s,
+    and :func:`~repro.experiments.persistence.load_figure_json` reads it
+    back into the :class:`~repro.experiments.figures.FigureResult`.
     ``channel`` is the sweep's channel spec, recorded as its asdict block
     (``null`` when the sweep ran its figure's default channel), so
     ``repro timeline <manifest> --cell`` re-runs a cell on the channel
@@ -157,9 +162,7 @@ def build_figure_manifest(
         "channel": dataclasses.asdict(channel) if channel is not None else None,
         "workers": workers,
         "wall_time_s": wall_time_s,
-        "n_cells": len(result.cells),
         "cells": [dataclasses.asdict(c) for c in result.cells],
-        "result_path": str(result_path) if result_path is not None else None,
     }
     if store is not None:
         manifest["store"] = dict(store)
@@ -277,7 +280,7 @@ def format_manifest(data: dict[str, Any], top_counters: int = 12) -> str:
         pairs += [
             ("figure", f"{data.get('figure_id')}: {data.get('title')}"),
             ("profile", f"{prof.get('name')} (trials={prof.get('trials')})"),
-            ("cells", data.get("n_cells")),
+            ("cells", len(data.get("cells", ()))),
         ]
         st = data.get("store")
         if st:

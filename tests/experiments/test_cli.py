@@ -1,6 +1,7 @@
 """Tests for the command-line driver."""
 
 import json
+import re
 
 import pytest
 
@@ -164,33 +165,45 @@ READERS = {
     "run": {"stats", "audit", "diff", "timeline"},
     "figure": {"stats", "audit", "diff", "timeline"},
     "store-entry": {"audit", "diff", "timeline"},
-    "figure-result": {"audit", "diff"},
     "timeline": {"diff", "timeline"},
-    "chrome-trace": {"timeline"},
     "trace": {"stats", "audit"},
 }
 
-#: files that are no artifact, by name: (content, or None for a missing
-#: file; what every verb says about it)
+#: files that are no artifact, by name, and what every verb says about
+#: each: the fixture writes them (leaving "missing" absent)
 NOT_ARTIFACTS = {
-    "missing": (None, "no such file"),
-    "metrics-only": ('{"metrics": {}}', "unrecognized"),
-    "cells-only": ('{"cells": []}', "unrecognized"),
-    "not-json": ("this is not JSON\n", "unrecognized"),
+    "missing": "no such file",
+    "metrics-only": "unrecognized",
+    "cells-only": "unrecognized",
+    "not-json": "unrecognized",
+    # a figure result as older checkouts saved it, beside its manifest
+    "old-figure-json": "unrecognized",
+    # a Chrome trace is for viewing only, with counter tracks or without
+    "chrome-export": "unrecognized",
 }
+
+
+def figure_result():
+    from repro.experiments.figures import FigureResult
+    from repro.experiments.sweeps import CellSummary
+
+    cells = tuple(
+        CellSummary(scheme, x, 1e-4 * x / 50, 0.0, 0.2, 0.9, 1, 10.0)
+        for x in (50.0, 150.0)
+        for scheme in ("opportunistic", "greedy")
+    )
+    return FigureResult("fig5", "Greedy vs opportunistic", "nodes", cells)
 
 
 @pytest.fixture(scope="module")
 def artifacts(tmp_path_factory):
-    """One file of each kind, from a real run and a real figure manifest."""
+    """One file of each kind, from a real run and a real saved figure."""
     from repro.experiments.config import smoke
-    from repro.experiments.figures import FigureResult
     from repro.experiments.persistence import (
         build_figure_manifest,
-        save_figure_json,
+        figure_payload,
         save_manifest,
     )
-    from repro.experiments.sweeps import CellSummary
     from repro.obs import Timeline, write_chrome_trace
 
     root = tmp_path_factory.mktemp("artifacts")
@@ -203,31 +216,27 @@ def artifacts(tmp_path_factory):
         "--store", str(store),
     ]) == 0
     timeline = Timeline.from_dict(json.loads((root / "timeline.json").read_text()))
-    write_chrome_trace(root / "chrome.json", timeline=timeline)
-    cells = tuple(
-        CellSummary(scheme, 50, 1e-4, 0.0, 0.2, 0.9, 1, 10.0)
-        for scheme in ("opportunistic", "greedy")
-    )
-    result = FigureResult("fig5", "Greedy vs opportunistic", "nodes", cells)
-    save_figure_json(result, root / "fig5.json")
-    save_manifest(
-        build_figure_manifest(result, smoke(), wall_time_s=1.0),
-        root / "fig5.manifest.json",
-    )
+    result = figure_result()
+    save_manifest(build_figure_manifest(result, smoke(), wall_time_s=1.0), root / "fig5.json")
     [entry] = (store / "runs").glob("*.json")
     paths = {
         "run": root / "run.json",
-        "figure": root / "fig5.manifest.json",
+        "figure": root / "fig5.json",
         "store-entry": entry,
-        "figure-result": root / "fig5.json",
         "timeline": root / "timeline.json",
-        "chrome-trace": root / "chrome.json",
         "trace": root / "trace.jsonl",
     }
-    for name, (content, _said) in NOT_ARTIFACTS.items():
+    contents = {
+        "metrics-only": '{"metrics": {}}',
+        "cells-only": '{"cells": []}',
+        "not-json": "this is not JSON\n",
+        "old-figure-json": json.dumps(figure_payload(result), indent=2, sort_keys=True),
+    }
+    for name in NOT_ARTIFACTS:
         paths[name] = root / f"{name}.json"
-        if content is not None:
-            paths[name].write_text(content)
+        if name in contents:
+            paths[name].write_text(contents[name])
+    write_chrome_trace(paths["chrome-export"], timeline=timeline)
     return paths, timeline
 
 
@@ -257,7 +266,7 @@ class TestArtifactVerbs:
         err = capsys.readouterr().err
         if name in NOT_ARTIFACTS:
             assert rc == 2
-            assert NOT_ARTIFACTS[name][1] in err
+            assert NOT_ARTIFACTS[name] in err
         elif verb in READERS[name]:
             assert (rc, err) == (0, "")
         else:
@@ -272,3 +281,55 @@ class TestArtifactVerbs:
         path.write_text('{"type": "meta", "trace_version": 1}\n{"type": "rec\n')
         assert main([verb, str(path)]) == 2
         assert "bad trace line" in capsys.readouterr().err
+
+
+class TestSavedFigure:
+    def test_fig_save_writes_one_document_that_every_verb_reads(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        import repro.cli
+        from repro.experiments.persistence import figure_payload, load_figure_json
+        from repro.obs import Timeline
+
+        result = figure_result()
+        plans = []
+
+        def sweep(plan, **kwargs):
+            plans.append(plan)
+            return result
+
+        monkeypatch.setattr(repro.cli, "run_figure_plan", sweep)
+        out = tmp_path / "out"
+        save, csv = out / "fig5.json", out / "fig5.csv"
+        assert main([
+            "fig", "fig5", "--profile", "smoke", "--trials", "1",
+            "--save", str(save), "--csv", str(csv),
+        ]) == 0
+        assert len(plans) == 1
+        assert f"saved: {save}" in capsys.readouterr().out
+        # one JSON document, beside the CSV export
+        assert sorted(path.name for path in out.iterdir()) == ["fig5.csv", "fig5.json"]
+        assert load_figure_json(save) == result
+        data = json.loads(save.read_text())
+        assert data["kind"] == "figure"
+        assert data["cells"] == figure_payload(result)["cells"]
+        assert data["profile"]["name"] == "smoke" and data["profile"]["trials"] == 1
+        assert "result_path" not in data and "n_cells" not in data
+
+        timeline = Timeline.from_dict({
+            "timeline_version": 1, "interval": 1.0, "duration": 1.0,
+            "times": [0.0], "probes": [{"name": "nodes.alive", "kind": "int", "values": [4]}],
+        })
+        monkeypatch.setattr(repro.cli, "_timeline_from_live_run", lambda cfg, i: timeline)
+        for argv in (
+            ["stats", str(save)],
+            ["audit", str(save)],
+            ["diff", str(save), str(save)],
+            ["timeline", str(save), "--cell", "greedy@150"],
+        ):
+            assert main(argv) == 0, argv
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert "figure manifest" in captured.out
+        assert re.search(r"^cells +4$", captured.out, re.M)
+        assert "source: live re-run (fig5 greedy@150 trial 0, profile smoke)" in captured.out

@@ -1,14 +1,16 @@
-"""Tests for figure result persistence."""
+"""Tests for figure persistence: the saved figure and its CSV export."""
 
 import json
 
 import pytest
 
+from repro.experiments.config import smoke
 from repro.experiments.figures import FigureResult
 from repro.experiments.persistence import (
+    build_figure_manifest,
     export_figure_csv,
     load_figure_json,
-    save_figure_json,
+    save_manifest,
 )
 from repro.experiments.sweeps import CellSummary
 
@@ -31,29 +33,52 @@ def figure():
     return FigureResult("fig5", "density sweep", "nodes", cells)
 
 
+def save_figure(result, path):
+    """What ``repro fig --save`` writes: the figure manifest, one file."""
+    return save_manifest(build_figure_manifest(result, smoke(), wall_time_s=1.0), path)
+
+
 class TestJsonRoundTrip:
     def test_round_trip_identity(self, tmp_path):
         original = figure()
-        path = save_figure_json(original, tmp_path / "fig5.json")
+        path = save_figure(original, tmp_path / "fig5.json")
         loaded = load_figure_json(path)
         assert loaded == original
 
     def test_savings_preserved(self, tmp_path):
         original = figure()
-        loaded = load_figure_json(save_figure_json(original, tmp_path / "f.json"))
+        loaded = load_figure_json(save_figure(original, tmp_path / "f.json"))
         assert loaded.energy_savings(350) == pytest.approx(original.energy_savings(350))
 
     def test_creates_parent_dirs(self, tmp_path):
-        path = save_figure_json(figure(), tmp_path / "a" / "b" / "f.json")
+        path = save_figure(figure(), tmp_path / "a" / "b" / "f.json")
         assert path.exists()
 
     def test_version_check(self, tmp_path):
-        path = save_figure_json(figure(), tmp_path / "f.json")
+        path = save_figure(figure(), tmp_path / "f.json")
         payload = json.loads(path.read_text())
-        payload["format_version"] = 99
+        payload["manifest_version"] = 99
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match="version"):
             load_figure_json(path)
+
+    def test_kind_check(self, tmp_path):
+        path = save_figure(figure(), tmp_path / "f.json")
+        payload = json.loads(path.read_text())
+        payload["kind"] = "run"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="not a saved figure"):
+            load_figure_json(path)
+
+    def test_cells_coerced_to_field_types(self, tmp_path):
+        path = save_figure(figure(), tmp_path / "f.json")
+        payload = json.loads(path.read_text())
+        for cell in payload["cells"]:
+            cell["x"] = int(cell["x"])  # JSON written by hand may drop the .0
+        path.write_text(json.dumps(payload))
+        loaded = load_figure_json(path)
+        assert all(type(c.x) is float for c in loaded.cells)
+        assert loaded == figure()
 
 
 class TestCsvExport:

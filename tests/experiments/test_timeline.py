@@ -25,7 +25,7 @@ def cfg(**overrides):
 
 
 def save_figure_manifest(path, channel=None):
-    """A real fig5 manifest (smoke profile, no cells) written to ``path``."""
+    """A real saved fig5 (smoke profile, no cells) written to ``path``."""
     from repro.experiments.figures import FigureResult
     from repro.experiments.persistence import build_figure_manifest, save_manifest
 
@@ -92,8 +92,16 @@ class TestRunnerIntegration:
         assert block["samples"] == observed.timeline.n_samples
         assert block["probes"] == observed.timeline.names()
         assert block["bytes"] == observed.timeline.nbytes()
-        # the timeline is the run's only periodic sampler: no sim gauges
-        assert manifest["metrics_snapshot"]["gauges"] == {}
+        # the timeline is the run's only periodic sampler: no gauges block;
+        # counters sit only under metrics, the histograms beside them
+        assert "metrics_snapshot" not in manifest and "gauges" not in manifest
+        assert manifest["metrics"]["counters"] == observed.metrics.counters
+        assert sorted(manifest["histograms"]) == [
+            "agg.merge_size",
+            "mac.backoff_slots",
+            "mac.queue_depth",
+            "radio.frame_bytes",
+        ]
 
     def test_first_death_scalar_matches_failure_schedule(self):
         config = cfg(failures=FailureModel(fraction=0.3, epoch=6.0))
@@ -239,10 +247,17 @@ class TestCli:
             ["timeline", str(tl_path), "--json", "--chrome-trace", str(trace_out)]
         ) == 0
         out = capsys.readouterr().out
-        assert json.loads(out) == json.loads(tl_path.read_text())
-        # the exported chrome trace is itself a valid timeline target
-        assert main(["timeline", str(trace_out)]) == 0
-        assert "source: chrome trace" in capsys.readouterr().out
+        saved = json.loads(tl_path.read_text())
+        assert json.loads(out) == saved
+        # one counter track per probe, one event per sample, and no copy
+        # of the timeline beside them: the export is for viewing only
+        chrome = json.loads(trace_out.read_text())
+        assert "otherData" not in chrome
+        counters = [e for e in chrome["traceEvents"] if e.get("ph") == "C"]
+        assert sorted({e["name"] for e in counters}) == sorted(
+            p["name"] for p in saved["probes"]
+        )
+        assert len(counters) == len(saved["times"]) * len(saved["probes"])
 
     def test_timeline_verb_reads_store_entry(self, tmp_path, capsys):
         from repro.experiments.store import run_key
@@ -267,22 +282,65 @@ class TestCli:
         assert "source: store timeline" in out
         assert "data.delivered" in out
 
+    @pytest.mark.parametrize("miss", ["corrupt", "other-version"])
+    def test_timeline_verb_reruns_a_store_entry_whose_timeline_is_a_miss(
+        self, tmp_path, capsys, monkeypatch, miss
+    ):
+        # the verb and RunStore.get_timeline (the daemon's timeline endpoint)
+        # agree on what a stored timeline is: these siblings are misses
+        import repro.cli
+        from repro.experiments.store import STORE_VERSION, run_key
+
+        store = RunStore(tmp_path / "store")
+        config = cfg()
+        observed = run_observed(config, ObsOptions(timeline=True))
+        entry = store.put(config, observed.metrics)
+        sibling = store.put_timeline(config, observed.timeline)
+        if miss == "corrupt":
+            sibling.write_text('{"timeline_version": 1, "times": [\x00')
+        else:
+            data = json.loads(sibling.read_text())
+            sibling.write_text(json.dumps({**data, "store_version": STORE_VERSION - 1}))
+        assert store.get_timeline(run_key(config)) is None
+        rebuilt = []
+
+        def rerun(config, interval):
+            rebuilt.append(config)
+            return observed.timeline
+
+        monkeypatch.setattr(repro.cli, "_timeline_from_live_run", rerun)
+        before = sorted(tmp_path.rglob("*"))
+        assert main(["timeline", str(entry)]) == 0
+        assert "source: live re-run (store entry)" in capsys.readouterr().out
+        assert [run_key(c) for c in rebuilt] == [run_key(config)]
+        assert sorted(tmp_path.rglob("*")) == before
+
+    def test_timeline_verb_creates_no_store_directories(self, tmp_path, capsys, monkeypatch):
+        import repro.cli
+
+        config = cfg()
+        observed = run_observed(config, ObsOptions(timeline=True))
+        entry = RunStore(tmp_path / "store").put(config, observed.metrics)
+        loose = tmp_path / "copies" / "entry.json"  # not under a store's runs/
+        loose.parent.mkdir()
+        loose.write_text(entry.read_text())
+        monkeypatch.setattr(
+            repro.cli, "_timeline_from_live_run", lambda config, interval: observed.timeline
+        )
+        before = sorted(tmp_path.rglob("*"))
+        assert main(["timeline", str(loose)]) == 0
+        assert "source: live re-run (store entry)" in capsys.readouterr().out
+        assert sorted(tmp_path.rglob("*")) == before
+
     def test_timeline_verb_rejects_figure_without_cell(self, tmp_path, capsys):
-        fig = save_figure_manifest(tmp_path / "fig.manifest.json")
+        fig = save_figure_manifest(tmp_path / "fig.json")
         assert main(["timeline", str(fig)]) == 2
         assert "--cell" in capsys.readouterr().err
 
     def test_timeline_verb_rejects_a_cell_outside_the_figure(self, tmp_path, capsys):
-        fig = save_figure_manifest(tmp_path / "fig.manifest.json")
+        fig = save_figure_manifest(tmp_path / "fig.json")
         assert main(["timeline", str(fig), "--cell", "flooding@150"]) == 2
         assert "no 'flooding' cells" in capsys.readouterr().err
-
-    def test_timeline_verb_sends_a_figure_result_to_its_manifest(self, tmp_path, capsys):
-        fig = tmp_path / "fig5.json"
-        fig.write_text(json.dumps({"format_version": 1, "figure_id": "fig5", "cells": []}))
-        assert main(["timeline", str(fig), "--cell", "greedy@150"]) == 2
-        err = capsys.readouterr().err
-        assert str(tmp_path / "fig5.manifest.json") in err
 
     @pytest.mark.parametrize("channel", [None, "pathloss"])
     def test_timeline_verb_rebuilds_a_cell_on_the_manifest_channel(
@@ -296,7 +354,7 @@ class TestCli:
         from repro.obs import Timeline
 
         spec = None if channel is None else ChannelSpec(model=channel, n_bands=2)
-        fig = save_figure_manifest(tmp_path / "fig.manifest.json", channel=spec)
+        fig = save_figure_manifest(tmp_path / "fig.json", channel=spec)
         if spec is None:  # a manifest written before the channel key reads as disc
             data = json.loads(fig.read_text())
             del data["channel"]
@@ -323,26 +381,18 @@ class TestCli:
 
     def test_timeline_verb_rejects_chrome_trace_without_counters(self, tmp_path, capsys):
         # what `client trace --chrome-trace` writes without --timeline-key:
-        # span slices only, so there is no timeline to render
-        trace = tmp_path / "spans.json"
-        span = {
+        # span slices only.  A Chrome trace is for viewing, so no verb reads
+        # it, with counters or without
+        from repro.obs import write_chrome_trace
+
+        trace = write_chrome_trace(tmp_path / "spans.json", spans=[{
             "trace_id": "a" * 16, "span_id": "b" * 16, "parent_id": None,
             "name": "http.request", "start_s": 1.0, "end_s": 2.0,
             "duration_s": 1.0, "status": "ok", "attributes": {},
-        }
-        trace.write_text(json.dumps({
-            "traceEvents": [
-                {"name": "process_name", "ph": "M", "pid": 1,
-                 "args": {"name": "repro service"}},
-                {"ph": "X", "name": "http.request", "cat": "span", "pid": 1,
-                 "tid": 1, "ts": 0.0, "dur": 1e6, "args": {}},
-            ],
-            "displayTimeUnit": "ms",
-            "otherData": {"spans": [span], "span_epoch_s": 1.0},
-        }))
+        }])
         assert main(["timeline", str(trace)]) == 2
         captured = capsys.readouterr()
-        assert str(trace) in captured.err
+        assert f"{trace}: unrecognized artifact" in captured.err
         assert "samples" not in captured.out
 
     def test_timeline_verb_rejects_jsonl_trace(self, tmp_path, capsys):

@@ -51,13 +51,20 @@ class TestLoadArtifact:
         assert load_artifact(p)[0] == "store-entry"
 
     def test_figure_result(self, tmp_path):
-        p = write_json(tmp_path / "f.json", {"format_version": 1, "cells": []})
-        assert load_artifact(p)[0] == "figure-result"
+        # a saved figure is its manifest; the old separate result file is no artifact
+        p = write_json(tmp_path / "f.json", {"manifest_version": 1, "kind": "figure",
+                                             "cells": []})
+        assert load_artifact(p)[0] == "figure"
+        old = write_json(tmp_path / "old.json", {"format_version": 1, "cells": []})
+        with pytest.raises(ValueError, match="unrecognized artifact"):
+            load_artifact(old)
 
     def test_chrome_trace(self, tmp_path):
-        p = write_json(tmp_path / "t.json", {"traceEvents": []})
-        assert load_artifact(p)[0] == "chrome-trace"
-        with pytest.raises(ValueError, match="cannot diff chrome-trace"):
+        # a Chrome trace is for viewing only: no verb reads it back
+        p = write_json(tmp_path / "t.json", {"traceEvents": [], "displayTimeUnit": "ms"})
+        with pytest.raises(ValueError, match="unrecognized artifact"):
+            load_artifact(p)
+        with pytest.raises(ValueError, match="unrecognized artifact"):
             diff_artifacts(p, p)
 
     def test_jsonl_trace_rejected(self, tmp_path):
@@ -151,7 +158,8 @@ class TestDiffArtifacts:
     def test_mixed_families_rejected(self, tmp_path):
         a = write_json(tmp_path / "a.json", {"manifest_version": 1, "kind": "run",
                                              "metrics": run_metrics()})
-        b = write_json(tmp_path / "b.json", {"format_version": 1, "cells": []})
+        b = write_json(tmp_path / "b.json", {"manifest_version": 1, "kind": "figure",
+                                             "cells": []})
         with pytest.raises(ValueError, match="per-run"):
             diff_artifacts(a, b)
 

@@ -47,9 +47,19 @@ class TestRunManifest:
         )
         # simulator block is always present for runs
         assert data["simulator"]["events_processed"] > 0
-        # registry snapshot includes the new typed instruments
-        hists = data["metrics_snapshot"]["histograms"]
-        assert any(name.startswith("radio.frame_bytes") for name in hists)
+        # each counter once, under metrics; the histograms beside them
+        assert "metrics_snapshot" not in data
+        assert data["metrics"]["counters"] == observed.metrics.counters
+        assert [k for k, v in data.items() if isinstance(v, dict) and "counters" in v] == [
+            "metrics"
+        ]
+        assert set(data["histograms"]) == {
+            "radio.frame_bytes",
+            "mac.backoff_slots",
+            "mac.queue_depth",
+            "agg.merge_size",
+        }
+        assert data["histograms"]["radio.frame_bytes"]["count"] > 0
 
     def test_manifest_embeds_profile_and_trace_pointers(self, tmp_path):
         manifest = tmp_path / "m.json"
@@ -137,12 +147,8 @@ class TestCli:
              "timeline", "repro timeline"),
             ({"store_version": 1, "key": "0" * 64, "metrics": {}},
              "store entry", "repro audit"),
-            ({"format_version": 1, "figure_id": "fig5", "cells": []},
-             "figure result", "repro audit"),
-            ({"traceEvents": [], "displayTimeUnit": "ms"},
-             "chrome trace", "repro timeline"),
         ],
-        ids=["timeline", "store-entry", "figure-result", "chrome-trace"],
+        ids=["timeline", "store-entry"],
     )
     def test_stats_names_the_reader_of_other_artifacts(
         self, tmp_path, capsys, artifact, kind, reader

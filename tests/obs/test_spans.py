@@ -17,7 +17,7 @@ from repro.obs.spans import (
     new_trace_id,
     span_tree,
 )
-from repro.obs.export import chrome_trace_to_timeline, write_chrome_trace
+from repro.obs.export import write_chrome_trace
 
 
 class TestIdsAndLinks:
@@ -213,14 +213,13 @@ class TestChromeExport:
         data = json.loads(out.read_text())
         xs = [e for e in data["traceEvents"] if e.get("ph") == "X"]
         assert {e["name"] for e in xs} == {"http.request", "job"}
-        # ids and attributes ride in args; raw spans preserved losslessly
+        # ids, status and attributes ride in args; no second copy of the spans
         job_ev = next(e for e in xs if e["name"] == "job")
         assert job_ev["args"]["job"] == "job-000001"
         assert job_ev["args"]["trace_id"] == root.trace_id
-        assert {s["name"] for s in data["otherData"]["spans"]} == {
-            "http.request",
-            "job",
-        }
+        assert job_ev["args"]["parent_id"] == root.span_id
+        assert job_ev["args"]["status"] == "ok"
+        assert "otherData" not in data
         # all spans of one trace share a track; timestamps rebased to 0
         assert len({e["tid"] for e in xs}) == 1
         assert min(e["ts"] for e in xs) == 0.0
@@ -240,10 +239,12 @@ class TestChromeExport:
         data = json.loads(out.read_text())
         phases = {e.get("ph") for e in data["traceEvents"]}
         assert "X" in phases and "C" in phases
-        assert data["otherData"]["timeline"]["probes"][0]["name"] == "nodes.alive"
-        # the merged file reloads its probes through the one reader
-        restored = chrome_trace_to_timeline(out)
-        assert restored.series("nodes.alive") == ([0.0, 1.0], [5, 4])
+        counters = [e for e in data["traceEvents"] if e.get("ph") == "C"]
+        assert [(e["name"], e["ts"], e["args"]["value"]) for e in counters] == [
+            ("nodes.alive", 0.0, 5),
+            ("nodes.alive", 1e6, 4),
+        ]
+        assert "otherData" not in data
 
     def test_names_each_trace_track_once(self, tmp_path):
         store = SpanStore()
