@@ -28,10 +28,13 @@ Invalidation is by construction: any change to a config field or to the
 package version changes the key, so stale entries are never *read* —
 they merely occupy disk until ``repro-wsn store gc`` prunes them.
 
-The ``runs/`` directory is the only listing: ``store ls``, the
-daemon's ``/api/v1/runs`` and every lookup read the entry files
-themselves, so no second index can go stale.  Concurrent writers need
-no lock: each key's entry is immutable, written by atomic replace, and
+The ``runs/`` directory is the only listing: ``store ls`` and the
+daemon's ``/api/v1/runs`` read the entry files themselves, so no second
+index can go stale.  A handle parses each entry once: it remembers the
+metrics of every entry it read or wrote, and a remembered entry is
+checked with one stat of its file, so an entry another process deleted
+or rewrote is never served from memory.  Concurrent writers need no
+lock: each key's entry is immutable, written by atomic replace, and
 ``store gc`` spares temp files younger than :data:`TMP_LITTER_MIN_AGE_S`.
 
 Hit/miss/persist/skip counts are recorded as counters in an
@@ -178,6 +181,13 @@ class RunStore:
     functions of their key, temp files are uniquely named, and
     ``os.replace`` makes the final rename atomic, so the worst race is
     two processes writing the same bytes twice.
+
+    A handle remembers the parsed metrics of every entry it read or
+    wrote, for as long as it lives, with the stat of the file they came
+    from.  A lookup of a remembered key stats the file again: a missing
+    file is a miss, and a changed one (inode, size or ``mtime_ns``) is
+    read again.  So ``rm`` and ``gc`` from any process, and an entry
+    rewritten in place, behave as if every lookup read the file.
     """
 
     def __init__(
@@ -189,6 +199,8 @@ class RunStore:
         self.runs_dir.mkdir(parents=True, exist_ok=True)
         self.registry = registry if registry is not None else MetricsRegistry()
         self.stats = StoreStats()
+        #: key -> (stat stamp of the entry file, its parsed metrics)
+        self._memo: dict[str, tuple[tuple[int, int, int], RunMetrics]] = {}
 
     # ------------------------------------------------------------------
     # lookup / persist
@@ -196,27 +208,39 @@ class RunStore:
     def path_for(self, key: str) -> Path:
         return self.runs_dir / f"{key}.json"
 
-    def contains(self, cfg: ExperimentConfig) -> bool:
-        return self.path_for(run_key(cfg)).exists()
+    def contains(self, cfg: ExperimentConfig, key: Optional[str] = None) -> bool:
+        """Whether ``runs/`` holds a file for ``cfg`` (always asks the disk).
 
-    def get(self, cfg: ExperimentConfig) -> Optional[RunMetrics]:
+        ``key`` is ``run_key(cfg)``, if the caller has computed it.
+        """
+        return self.path_for(key or run_key(cfg)).exists()
+
+    def get(self, cfg: ExperimentConfig, key: Optional[str] = None) -> Optional[RunMetrics]:
         """Return the stored metrics for ``cfg``, or None on a miss.
 
-        A corrupt or unreadable entry counts as a miss (the next put
-        overwrites it).
+        ``key`` is ``run_key(cfg)``, if the caller has computed it.  A
+        corrupt or unreadable entry counts as a miss (the next put
+        overwrites it).  A hit returns the handle's one parsed copy of
+        the entry, shared with every earlier hit on it: treat it as
+        read-only.
         """
-        entry = self.entry(run_key(cfg))
-        if entry is None:
+        metrics = self._lookup(key or run_key(cfg))
+        if metrics is None:
             self.stats.misses += 1
             self.registry.counter("store.miss").inc()
             return None
         self.stats.hits += 1
         self.registry.counter("store.hit").inc()
-        return _metrics_from_dict(entry["metrics"])
+        return metrics
 
-    def put(self, cfg: ExperimentConfig, metrics: RunMetrics) -> Path:
-        """Persist one completed run atomically; returns the entry path."""
-        key = run_key(cfg)
+    def put(
+        self, cfg: ExperimentConfig, metrics: RunMetrics, key: Optional[str] = None
+    ) -> Path:
+        """Persist one completed run atomically; returns the entry path.
+
+        ``key`` is ``run_key(cfg)``, if the caller has computed it.
+        """
+        key = key or run_key(cfg)
         entry = {
             "store_version": STORE_VERSION,
             "key": key,
@@ -225,7 +249,15 @@ class RunStore:
             "metrics": dataclasses.asdict(metrics),
         }
         path = self.path_for(key)
-        self._atomic_write(path, json.dumps(entry, indent=2, sort_keys=True))
+        text = json.dumps(entry, indent=2, sort_keys=True)
+        self._atomic_write(path, text)
+        try:
+            stamp = _stamp(os.stat(path))
+        except OSError:  # deleted already: a lookup will find no file
+            pass
+        else:
+            # remember what a read of the file returns, not the caller's object
+            self._memo[key] = (stamp, _metrics_from_dict(json.loads(text)["metrics"]))
         self.stats.persisted += 1
         self.registry.counter("store.persist").inc()
         return path
@@ -304,6 +336,7 @@ class RunStore:
                     continue
                 path = matches[0]
             path.unlink()
+            self._memo.pop(path.stem, None)
             sibling = self.timelines_dir / path.name
             if sibling.exists():
                 sibling.unlink()
@@ -334,6 +367,7 @@ class RunStore:
             entry = self._read_entry(path)
             if entry is None:
                 path.unlink()
+                self._memo.pop(path.stem, None)
                 stats["corrupt_removed"] += 1
                 continue
             written_by = (
@@ -342,6 +376,7 @@ class RunStore:
             )
             if prune_stale_versions and written_by != current:
                 path.unlink()
+                self._memo.pop(path.stem, None)
                 stats["stale_removed"] += 1
                 continue
             kept_keys.add(entry.get("key", path.stem))
@@ -373,11 +408,32 @@ class RunStore:
             "delivery_ratio": metrics.get("delivery_ratio"),
         }
 
+    def _lookup(self, key: str) -> Optional[RunMetrics]:
+        """The metrics stored under ``key``, parsed at most once per file."""
+        path = self.path_for(key)
+        try:
+            stamp = _stamp(os.stat(path))
+        except OSError:
+            self._memo.pop(key, None)
+            return None
+        known = self._memo.get(key)
+        if known is not None and known[0] == stamp:
+            return known[1]
+        # stamped before the read: a write racing the read changes the
+        # stamp again, so the next lookup reads the file once more
+        entry = self._read_entry(path)
+        if entry is None:
+            self._memo.pop(key, None)
+            return None
+        metrics = _metrics_from_dict(entry["metrics"])
+        self._memo[key] = (stamp, metrics)
+        return metrics
+
     @staticmethod
     def _read_entry(path: Path) -> Optional[dict[str, Any]]:
         try:
             entry = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError):
+        except (OSError, ValueError):  # ValueError: bad JSON or not UTF-8 text
             return None
         if not isinstance(entry, dict) or entry.get("store_version") != STORE_VERSION:
             return None
@@ -445,6 +501,15 @@ def _metrics_from_dict(data: dict[str, Any]) -> RunMetrics:
 
 def _opt_float(value: Any) -> Optional[float]:
     return None if value is None else float(value)
+
+
+def _stamp(st: os.stat_result) -> tuple[int, int, int]:
+    """What identifies one version of an entry file: inode, size, mtime.
+
+    An atomic put makes a new inode; an in-place rewrite changes the
+    size or the mtime.
+    """
+    return st.st_ino, st.st_size, st.st_mtime_ns
 
 
 def stored_timeline(entry_path: Union[str, Path]) -> Optional[dict[str, Any]]:

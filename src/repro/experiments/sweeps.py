@@ -183,8 +183,10 @@ class RunExecutor:
     span.  ``registry`` counts ``service.pool_rebuilds``.
 
     Callers :meth:`probe` each run (its one counted hit or miss), then
-    await :meth:`run` for the misses.  ``asyncio`` is imported where it
-    is used: the import costs ~26 ms, and an all-hit sweep never needs it.
+    await :meth:`run` for the misses, passing each run's content key:
+    the executor never hashes a config itself.  ``asyncio`` is imported
+    where it is used: the import costs ~26 ms, and an all-hit sweep
+    never needs it.
     """
 
     def __init__(
@@ -205,9 +207,10 @@ class RunExecutor:
         #: in-flight runs by content key, each resolving to its outcome
         self._inflight: dict[str, Any] = {}
 
-    def probe(self, cfg: ExperimentConfig) -> Optional[RunMetrics]:
-        """The stored metrics for ``cfg``, or None; counts one hit or miss."""
-        return self.store.get(cfg) if self.store is not None else None
+    def probe(self, cfg: ExperimentConfig, key: str) -> Optional[RunMetrics]:
+        """The stored metrics for ``cfg`` (``key = run_key(cfg)``), or None;
+        counts one hit or miss."""
+        return self.store.get(cfg, key=key) if self.store is not None else None
 
     def start(self) -> None:
         """Create the worker pool now rather than at the first run."""
@@ -231,7 +234,7 @@ class RunExecutor:
         self,
         index: int,
         cfg: ExperimentConfig,
-        key: Optional[str] = None,
+        key: str,
         parent: Optional[object] = None,
     ) -> tuple[Union[RunMetrics, RunFailure], str]:
         """Resolve one probed miss: ``(outcome, how)``.
@@ -240,17 +243,18 @@ class RunExecutor:
         ``"hit"`` (the store gained the entry since the probe — another
         job persisted it) or ``"executed"``.  The re-probe first checks
         that the entry exists, so a cold run still counts one store miss.
-        A :class:`RunFailure` carries this call's ``index``.
+        ``key`` is ``run_key(cfg)``: the in-flight table, the re-probe
+        and the store write all use it.  A :class:`RunFailure` carries
+        this call's ``index``.
         """
         import asyncio
 
-        key = key or run_key(cfg)
         shared = self._inflight.get(key)
         # another job may have stored the run since the caller's probe;
         # checking existence first keeps a cold run at one counted miss
         cached = None
-        if shared is None and self.store is not None and self.store.contains(cfg):
-            cached = self.store.get(cfg)
+        if shared is None and self.store is not None and self.store.contains(cfg, key=key):
+            cached = self.store.get(cfg, key=key)
         if shared is not None:
             self.spans.event("dedup", parent=parent, verdict="in-flight", **{"run.key": key})
             outcome, how = await shared, "coalesced"
@@ -271,7 +275,7 @@ class RunExecutor:
                         self.store.note_skipped()
                     else:
                         put = self.spans.start("store.put", parent=parent, **{"run.key": key})
-                        self.store.put(cfg, outcome)
+                        self.store.put(cfg, outcome, key=key)
                         put.end()
             finally:
                 self._inflight.pop(key, None)
@@ -339,24 +343,24 @@ class RunExecutor:
 
 def _run_parallel(
     executor: RunExecutor,
-    runs: Sequence[tuple[int, ExperimentConfig]],
+    runs: Sequence[tuple[int, ExperimentConfig, str]],
     resolved: Callable[[int, object], None],
 ) -> None:
     """Drive probed misses through ``executor`` on a private event loop.
 
-    ``runs`` are ``(index, config)`` pairs; ``resolved(index, outcome)``
-    fires as each run resolves, after its store write.  The executor's
-    pool is shut down before this returns.
+    ``runs`` are ``(index, config, run key)`` triples;
+    ``resolved(index, outcome)`` fires as each run resolves, after its
+    store write.  The executor's pool is shut down before this returns.
     """
     import asyncio
 
-    async def one(index: int, cfg: ExperimentConfig) -> None:
-        outcome, _how = await executor.run(index, cfg)
+    async def one(index: int, cfg: ExperimentConfig, key: str) -> None:
+        outcome, _how = await executor.run(index, cfg, key)
         resolved(index, outcome)
 
     async def main() -> None:
         try:
-            await asyncio.gather(*(one(index, cfg) for index, cfg in runs))
+            await asyncio.gather(*(one(*run) for run in runs))
         finally:
             await executor.close()
 
@@ -386,13 +390,14 @@ def run_configs(
     so a re-run after an interruption executes only the missing tail.  A
     sweep whose every config is stored starts neither an event loop nor
     a pool.  ``progress(done, total)`` fires once for the store hits,
-    then as each remaining run completes.
+    then as each remaining run completes.  Each config is hashed once.
     """
     configs = list(configs)
     total = len(configs)
+    keys = [run_key(cfg) for cfg in configs]
     executor = RunExecutor(workers if workers > 1 else 0, open_store(store))
-    results: list = [executor.probe(cfg) for cfg in configs]
-    misses = [(i, cfg) for i, cfg in enumerate(configs) if results[i] is None]
+    results: list = [executor.probe(cfg, key) for cfg, key in zip(configs, keys)]
+    misses = [(i, cfg, keys[i]) for i, cfg in enumerate(configs) if results[i] is None]
     done = total - len(misses)
     if progress is not None and done:
         progress(done, total)

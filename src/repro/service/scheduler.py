@@ -8,7 +8,9 @@ streams, the job-lifecycle JSON log lines, and the ``job`` /
 Dedup happens at three prices, cheapest first:
 
 1. *store hits* — every run is probed at submission, so a warm request
-   finishes without queueing at all (``from_cache``);
+   finishes without queueing at all (``from_cache``); a hit on a run the
+   daemon's store handle has parsed before is a memory lookup plus one
+   stat, and jobs share that one parsed copy;
 2. *job coalescing* — a submission whose request key matches a
    queued/running job returns that job's id instead of a duplicate;
 3. *run coalescing* — jobs that overlap on individual runs share one
@@ -147,16 +149,14 @@ class JobScheduler:
         job.results = [None] * job.total
         self.registry.counter("service.jobs_submitted", kind=request.kind).inc()
         probe = self.spans.start("store.probe", parent=span, runs=job.total)
-        for i, cfg in enumerate(request.configs):
-            cached = self.executor.probe(cfg)
+        for i, (cfg, key) in enumerate(zip(request.configs, request.run_keys)):
+            cached = self.executor.probe(cfg, key)
             if cached is not None:
                 job.results[i] = cached
                 job.hits += 1
                 job.done += 1
                 # submit-time store hit: this run never reaches the queue
-                self.spans.event(
-                    "dedup", parent=span, verdict="store-hit", **{"run.key": request.run_keys[i]}
-                )
+                self.spans.event("dedup", parent=span, verdict="store-hit", **{"run.key": key})
             else:
                 job.pending.append((i, cfg))
         probe.end(hits=job.hits, misses=len(job.pending))

@@ -26,6 +26,11 @@ from repro.experiments.store import (
 )
 from repro.experiments.sweeps import RunFailure, SweepError, run_configs
 
+from ..helpers import count_store_work
+
+#: an entry file that is not UTF-8 text (it opens with a UTF-16 byte-order mark)
+NOT_UTF8 = b"\xff\xfe{}"
+
 
 def _tiny(scheme: str = "greedy", n: int = 50, seed: int = 1, **overrides):
     return ExperimentConfig.from_profile(
@@ -147,6 +152,122 @@ class TestRunStoreRoundTrip:
         opened = open_store(tmp_path / "sub")
         assert isinstance(opened, RunStore)
         assert opened.runs_dir.is_dir()
+
+
+class TestEntryNotUtf8:
+    """A ``runs/`` file that is not UTF-8 text is a corrupt entry, not a crash."""
+
+    def test_get_counts_a_miss(self, tmp_path):
+        store = RunStore(tmp_path)
+        cfg = _tiny()
+        store.path_for(run_key(cfg)).write_bytes(NOT_UTF8)
+        assert store.get(cfg) is None
+        assert store.stats.misses == 1
+
+    def test_ls_skips_it(self, tmp_path):
+        store = RunStore(tmp_path)
+        cfg = _tiny()
+        store.put(cfg, _metrics(cfg))
+        (store.runs_dir / "abc.json").write_bytes(NOT_UTF8)
+        assert [row["key"] for row in store.ls()] == [run_key(cfg)]
+
+    def test_gc_removes_it_as_corrupt(self, tmp_path):
+        store = RunStore(tmp_path)
+        cfg = _tiny()
+        store.put(cfg, _metrics(cfg))
+        planted = store.runs_dir / "abc.json"
+        planted.write_bytes(NOT_UTF8)
+        stats = store.gc()
+        assert (stats["corrupt_removed"], stats["kept"]) == (1, 1)
+        assert not planted.exists()
+
+
+def _make_stale(path) -> None:
+    """Rewrite an entry in place as another package version wrote it."""
+    entry = json.loads(path.read_text())
+    entry["identity"]["code_version"] = "0.0.1"
+    path.write_text(json.dumps(entry))
+
+
+class TestMemo:
+    """A handle parses each entry once, and never serves from memory what
+    ``runs/`` no longer holds."""
+
+    def test_repeated_get_reads_the_file_once(self, tmp_path, monkeypatch):
+        cfg = _tiny()
+        RunStore(tmp_path).put(cfg, _metrics(cfg))
+        counts = count_store_work(monkeypatch)
+        store = RunStore(tmp_path)
+        first, second = store.get(cfg), store.get(cfg)
+        assert first == _metrics(cfg)
+        assert second is first
+        assert counts["read"] == 1
+        assert store.stats.hits == 2
+
+    def test_put_remembers_what_a_read_returns(self, tmp_path, monkeypatch):
+        # an int where the entry reads back a float: the memo must hold
+        # the read-back form, not the caller's object
+        cfg = _tiny()
+        metrics = replace(_metrics(cfg), avg_delay=0)
+        store = RunStore(tmp_path)
+        store.put(cfg, metrics)
+        counts = count_store_work(monkeypatch)
+        remembered = store.get(cfg)
+        assert counts["read"] == 0
+        fresh = RunStore(tmp_path).get(cfg)
+        assert json.dumps(dataclasses.asdict(remembered)) == json.dumps(
+            dataclasses.asdict(fresh)
+        )
+
+    @pytest.mark.parametrize(
+        "how", ["rm-other-handle", "rm-same-handle", "gc-other-handle", "gc-same-handle", "unlink"]
+    )
+    def test_deleted_entry_is_a_counted_miss(self, tmp_path, how):
+        store = RunStore(tmp_path)
+        cfg = _tiny()
+        store.put(cfg, _metrics(cfg))
+        assert store.get(cfg) is not None
+        path = store.path_for(run_key(cfg))
+        verb, _, handle = how.partition("-")
+        deleter = store if handle == "same-handle" else RunStore(tmp_path)
+        if verb == "rm":
+            assert deleter.rm([run_key(cfg)]) == 1
+        elif verb == "gc":
+            _make_stale(path)
+            assert deleter.gc()["stale_removed"] == 1
+        else:
+            path.unlink()
+        assert store.get(cfg) is None
+        assert (store.stats.hits, store.stats.misses) == (1, 1)
+
+    def test_entry_corrupted_in_place_is_a_counted_miss(self, tmp_path):
+        store = RunStore(tmp_path)
+        cfg = _tiny()
+        store.put(cfg, _metrics(cfg))
+        assert store.get(cfg) is not None
+        store.path_for(run_key(cfg)).write_text("{ not json")
+        assert store.get(cfg) is None
+        assert (store.stats.hits, store.stats.misses) == (1, 1)
+
+    def test_put_through_another_handle_is_served(self, tmp_path):
+        store = RunStore(tmp_path)
+        cfg = _tiny()
+        store.put(cfg, _metrics(cfg))
+        assert store.get(cfg) == _metrics(cfg)
+        # the same number of bytes: only the new file's inode tells them apart
+        newer = _metrics(cfg, energy=2e-4)
+        RunStore(tmp_path).put(cfg, newer)
+        assert store.get(cfg) == newer
+
+    def test_rm_and_gc_forget_what_they_delete(self, tmp_path):
+        store = RunStore(tmp_path)
+        cfgs = [_tiny(seed=s) for s in (1, 2)]
+        for cfg in cfgs:
+            store.put(cfg, _metrics(cfg))
+        assert store.rm([run_key(cfgs[0])]) == 1
+        _make_stale(store.path_for(run_key(cfgs[1])))
+        assert store.gc()["stale_removed"] == 1
+        assert store._memo == {}
 
 
 class TestMaintenance:
@@ -301,6 +422,18 @@ class TestSweepIntegration:
         again = run_configs(cfgs, workers=2, store=resumed)
         assert resumed.stats.hits == 3 and resumed.stats.misses == 0
         assert again == parallel == run_configs(cfgs)
+
+    def test_sweep_hashes_each_config_once(self, tmp_path, monkeypatch):
+        import repro.experiments.sweeps as sweeps_mod
+
+        monkeypatch.setattr(sweeps_mod, "run_experiment", _metrics)
+        cfgs = [_tiny(seed=s) for s in (1, 2, 3)]
+        counts = count_store_work(monkeypatch)
+        cold = run_configs(cfgs, store=RunStore(tmp_path))
+        assert counts["run_key"] == len(cfgs)
+        warm = run_configs(cfgs, store=RunStore(tmp_path))
+        assert counts["run_key"] == 2 * len(cfgs)
+        assert warm == cold
 
     def test_failures_are_not_persisted(self, tmp_path, monkeypatch):
         import repro.experiments.sweeps as sweeps_mod

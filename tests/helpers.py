@@ -1,7 +1,9 @@
-"""Shared test fixtures: tiny hand-built networks with the real stack."""
+"""Shared test fixtures: tiny hand-built networks with the real stack,
+and a counter of the run store's hashing and entry-file reads."""
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Optional, Sequence
 
 from repro.aggregation.functions import AggregationFunction
@@ -89,3 +91,33 @@ def chain_positions(n: int, spacing: float = 35.0) -> list[tuple[float, float]]:
 
 def grid_positions(rows: int, cols: int, spacing: float = 30.0) -> list[tuple[float, float]]:
     return [(c * spacing, r * spacing) for r in range(rows) for c in range(cols)]
+
+
+def count_store_work(monkeypatch) -> Counter:
+    """Count ``run_key`` calls and entry-file reads for the rest of a test.
+
+    ``run_key`` is wrapped in every module that calls it on the lookup
+    path (the store, ``run_configs``, request parsing), and
+    ``RunStore._read_entry`` in its class.  The counter's keys are
+    ``"run_key"`` and ``"read"``.
+    """
+    import repro.experiments.store as store_mod
+    import repro.experiments.sweeps as sweeps_mod
+    import repro.service.jobs as jobs_mod
+
+    counts: Counter = Counter()
+    real_key = store_mod.run_key
+    real_read = store_mod.RunStore._read_entry
+
+    def counted_key(cfg):
+        counts["run_key"] += 1
+        return real_key(cfg)
+
+    def counted_read(path):
+        counts["read"] += 1
+        return real_read(path)
+
+    for module in (store_mod, sweeps_mod, jobs_mod):
+        monkeypatch.setattr(module, "run_key", counted_key)
+    monkeypatch.setattr(store_mod.RunStore, "_read_entry", staticmethod(counted_read))
+    return counts

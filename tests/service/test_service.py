@@ -6,6 +6,7 @@ tiny fields so the whole file stays test-suite-friendly.
 """
 
 import dataclasses
+import json
 import time
 
 import pytest
@@ -17,6 +18,7 @@ from repro.experiments.persistence import figure_payload
 from repro.experiments.store import RunStore, run_key
 from repro.service.client import ServiceError
 
+from ..helpers import count_store_work
 from .helpers import with_daemon
 
 FIG_SPEC = {
@@ -34,6 +36,30 @@ def _failing_config_dict():
         smoke(), "greedy", 2, seed=1, n_sources=5, n_sinks=5
     )
     return dataclasses.asdict(cfg)
+
+
+def _store_fig_spec_runs(root) -> list:
+    """Store made-up metrics for FIG_SPEC's runs; returns its configs."""
+    configs = list(figure_plan("fig5", smoke(), trials=1, xs=[50]).configs())
+    store = RunStore(root)
+    for i, cfg in enumerate(configs):
+        store.put(
+            cfg,
+            RunMetrics(
+                scheme=cfg.scheme,
+                n_nodes=cfg.n_nodes,
+                seed=cfg.seed,
+                avg_dissipated_energy=1e-4 * (i + 1),
+                avg_delay=0.1,
+                delivery_ratio=0.9,
+                total_energy_j=0.5,
+                distinct_delivered=7,
+                events_sent=8,
+                mean_degree=4.2,
+                counters={"radio.tx": 100 + i},
+            ),
+        )
+    return configs
 
 
 class TestFigureBitIdentity:
@@ -176,6 +202,70 @@ class TestRunListing:
         runs, backend = with_daemon(root, listing, run_workers=1)
         assert [row["key"] for row in runs] == [run_key(cfg_b)]
         assert backend["entries"] == 1
+
+    def test_listing_skips_an_entry_that_is_not_utf8(self, tmp_path):
+        """Regression: one runs/ file that is not UTF-8 text made the
+        listing answer HTTP 500."""
+        root = tmp_path / "store"
+        configs = _store_fig_spec_runs(root)
+        (RunStore(root).runs_dir / "abc.json").write_bytes(b"\xff\xfe{}")
+        runs = with_daemon(root, lambda client, daemon: client.runs(), run_workers=1)
+        assert sorted(row["key"] for row in runs) == sorted(run_key(c) for c in configs)
+
+
+class TestHashOnceParseOnce:
+    """A stored run costs one ``run_key`` per request and one parse per
+    store handle, and warm jobs share the handle's parsed runs."""
+
+    def test_cold_request_hashes_each_run_once(self, tmp_path, monkeypatch):
+        n_runs = len(figure_plan("fig5", smoke(), trials=1, xs=[50]).plan)
+        counts = count_store_work(monkeypatch)
+
+        def scenario(client, daemon):
+            job = client.submit(FIG_SPEC)["job"]
+            status = client.wait(job["id"], timeout=180)
+            assert (status["status"], status["runs"]["executed"]) == ("done", n_runs)
+            return counts.copy()
+
+        cold = with_daemon(tmp_path / "store", scenario)
+        assert cold["run_key"] == n_runs  # parse only: probe, re-probe and put reuse it
+
+    def test_warm_request_hashes_once_and_a_repeat_reads_nothing(self, tmp_path, monkeypatch):
+        root = tmp_path / "store"
+        n_runs = len(_store_fig_spec_runs(root))
+        counts = count_store_work(monkeypatch)
+
+        def scenario(client, daemon):
+            spent = []
+            for _ in range(2):
+                before = counts.copy()
+                job = client.submit(FIG_SPEC)["job"]
+                assert job["from_cache"] is True
+                spent.append(counts - before)
+            return spent
+
+        first, repeat = with_daemon(root, scenario)
+        assert (first["run_key"], first["read"]) == (n_runs, n_runs)
+        assert (repeat["run_key"], repeat["read"]) == (n_runs, 0)
+
+    def test_warm_jobs_share_runs_and_serve_what_a_fresh_read_serves(self, tmp_path):
+        root = tmp_path / "store"
+        configs = _store_fig_spec_runs(root)
+
+        def scenario(client, daemon):
+            ids = [client.submit(FIG_SPEC)["job"]["id"] for _ in range(2)]
+            return [daemon.scheduler.get(job_id) for job_id in ids]
+
+        first, second = with_daemon(root, scenario)
+        assert all(a is b for a, b in zip(first.results, second.results))
+        # what a handle that parses every entry afresh serves
+        fresh = RunStore(root)
+        reread = [fresh.get(cfg) for cfg in configs]
+        for job in (first, second):
+            twin = dataclasses.replace(job, results=reread)
+            assert json.dumps(job.result_payload(), sort_keys=True) == json.dumps(
+                twin.result_payload(), sort_keys=True
+            )
 
 
 class TestFailureIsolation:
